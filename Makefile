@@ -97,6 +97,7 @@ test-replica:
 # seconds of mutation.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
+	$(GO) test -run='^$$' -fuzz=FuzzFIRApply -fuzztime=10s ./internal/dsp
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzPayloadDecoders -fuzztime=10s ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault

@@ -143,11 +143,15 @@ func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, err
 		return nil, err
 	}
 	if l.Env != nil {
-		ambient, err := l.Env.Render(total, l.SampleRate, l.rng)
-		if err != nil {
-			return nil, err
+		// The ambient field is mixed in and dropped, so it renders into
+		// pooled scratch.
+		ambient := &audio.Buffer{Rate: l.SampleRate, Samples: dsp.GetFloatScratch(total)}
+		err := l.Env.renderInto(ambient, l.rng)
+		if err == nil {
+			err = rec.MixAt(0, ambient)
 		}
-		if err := rec.MixAt(0, ambient); err != nil {
+		dsp.PutFloatScratch(ambient.Samples)
+		if err != nil {
 			return nil, err
 		}
 	}

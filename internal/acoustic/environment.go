@@ -91,35 +91,48 @@ func AllEnvironments() []*Environment {
 // Render synthesizes n samples of the environment's ambient noise at its
 // configured SPL.
 func (e *Environment) Render(n, sampleRate int, rng *rand.Rand) (*audio.Buffer, error) {
-	buf, err := e.renderUnit(n, sampleRate, rng)
+	buf, err := audio.NewBuffer(sampleRate, n)
 	if err != nil {
 		return nil, err
 	}
-	audio.ScaleToSPL(buf, e.NoiseSPL)
+	if err := e.renderInto(buf, rng); err != nil {
+		return nil, err
+	}
 	return buf, nil
 }
 
-// renderUnit mixes the components at unit RMS.
-func (e *Environment) renderUnit(n, sampleRate int, rng *rand.Rand) (*audio.Buffer, error) {
+// renderInto is Render writing over every sample of buf, so the link can
+// render the ambient field into pooled scratch.
+func (e *Environment) renderInto(buf *audio.Buffer, rng *rand.Rand) error {
+	if err := e.renderUnitInto(buf, rng); err != nil {
+		return err
+	}
+	audio.ScaleToSPL(buf, e.NoiseSPL)
+	return nil
+}
+
+// renderUnitInto mixes the components at unit RMS over every sample of
+// out.
+func (e *Environment) renderUnitInto(out *audio.Buffer, rng *rand.Rand) error {
 	if len(e.Mix) == 0 {
-		return nil, fmt.Errorf("acoustic: environment %q has an empty noise mix", e.Name)
+		return fmt.Errorf("acoustic: environment %q has an empty noise mix", e.Name)
 	}
-	out, err := audio.NewBuffer(sampleRate, n)
-	if err != nil {
-		return nil, err
-	}
+	clear(out.Samples)
+	// Every component renders into the same pooled scratch buffer, which
+	// NoiseInto overwrites completely each time.
+	part := &audio.Buffer{Rate: out.Rate, Samples: dsp.GetFloatScratch(len(out.Samples))}
+	defer dsp.PutFloatScratch(part.Samples)
 	for _, comp := range e.Mix {
-		part, err := audio.Noise(comp.Kind, n, sampleRate, rng)
-		if err != nil {
-			return nil, fmt.Errorf("acoustic: environment %q: %w", e.Name, err)
+		if err := audio.NoiseInto(part, comp.Kind, rng); err != nil {
+			return fmt.Errorf("acoustic: environment %q: %w", e.Name, err)
 		}
 		part.Gain(comp.Weight)
 		if err := out.MixAt(0, part); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	dsp.NormalizeRMS(out.Samples, 1)
-	return out, nil
+	return nil
 }
 
 // RenderPair synthesizes the ambient noise heard simultaneously by two
@@ -130,12 +143,16 @@ func (e *Environment) renderUnit(n, sampleRate int, rng *rand.Rand) (*audio.Buff
 // Sound-Proof) depends on exactly this property.
 func (e *Environment) RenderPair(n, sampleRate int, colocated bool, rng *rand.Rand) (*audio.Buffer, *audio.Buffer, error) {
 	if colocated {
-		shared, err := e.renderUnit(n, sampleRate, rng)
+		shared, err := audio.NewBuffer(sampleRate, n)
 		if err != nil {
 			return nil, nil, err
 		}
+		if err := e.renderUnitInto(shared, rng); err != nil {
+			return nil, nil, err
+		}
+		// b takes over the shared field; a copies it first.
 		a := shared.Clone()
-		b := shared.Clone()
+		b := shared
 		const residue = 0.15 // independent mic-position residue
 		for _, buf := range []*audio.Buffer{a, b} {
 			for i := range buf.Samples {

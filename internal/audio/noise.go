@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"wearlock/internal/dsp"
 )
@@ -42,15 +44,24 @@ func (k NoiseKind) String() string {
 // using the supplied random source. Callers scale the result to the
 // desired SPL with ScaleToSPL.
 func Noise(kind NoiseKind, n, sampleRate int, rng *rand.Rand) (*Buffer, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("audio: noise requires a random source")
-	}
 	buf, err := NewBuffer(sampleRate, n)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return buf, nil
+	if err := NoiseInto(buf, kind, rng); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// NoiseInto is Noise writing over every sample of buf at buf.Rate, so a
+// caller can reuse one buffer across renders.
+func NoiseInto(buf *Buffer, kind NoiseKind, rng *rand.Rand) error {
+	if rng == nil {
+		return fmt.Errorf("audio: noise requires a random source")
+	}
+	if len(buf.Samples) == 0 {
+		return nil
 	}
 	switch kind {
 	case NoiseWhite:
@@ -61,17 +72,17 @@ func Noise(kind NoiseKind, n, sampleRate int, rng *rand.Rand) (*Buffer, error) {
 		pinkNoise(buf.Samples, rng)
 	case NoiseBabble:
 		if err := babbleNoise(buf, rng); err != nil {
-			return nil, err
+			return err
 		}
 	case NoiseImpulsive:
 		impulsiveNoise(buf, rng)
 	case NoiseHum:
 		humNoise(buf, rng)
 	default:
-		return nil, fmt.Errorf("audio: unknown noise kind %d", int(kind))
+		return fmt.Errorf("audio: unknown noise kind %d", int(kind))
 	}
 	dsp.NormalizeRMS(buf.Samples, 1)
-	return buf, nil
+	return nil
 }
 
 // pinkNoise fills x with 1/f noise using the Voss-McCartney algorithm.
@@ -105,11 +116,15 @@ func babbleNoise(buf *Buffer, rng *rand.Rand) error {
 	for i := range buf.Samples {
 		buf.Samples[i] = rng.NormFloat64()
 	}
-	bp, err := dsp.BandPassFIR(300, 3400, float64(buf.Rate), 129)
+	bp, err := babbleFilter(buf.Rate)
 	if err != nil {
 		return err
 	}
-	filtered := bp.Apply(buf.Samples)
+	filtered := dsp.GetFloatScratch(len(buf.Samples))
+	defer dsp.PutFloatScratch(filtered)
+	if err := bp.ApplyInto(filtered, buf.Samples); err != nil {
+		return err
+	}
 	step := buf.Rate / 8
 	if step < 1 {
 		step = 1
@@ -126,6 +141,25 @@ func babbleNoise(buf *Buffer, rng *rand.Rand) error {
 		buf.Samples[i] = filtered[i] * envelope
 	}
 	return nil
+}
+
+// babbleFilters caches the babble voice-band filter per sample rate
+// (map[int]*dsp.FIRFilter). A filter is immutable once designed, so
+// concurrent renders share it.
+var babbleFilters sync.Map
+
+// babbleFilter returns the 300 Hz - 3.4 kHz, 129-tap band-pass for the
+// rate, designing it on first use.
+func babbleFilter(rate int) (*dsp.FIRFilter, error) {
+	if f, ok := babbleFilters.Load(rate); ok {
+		return f.(*dsp.FIRFilter), nil
+	}
+	f, err := dsp.BandPassFIR(300, 3400, float64(rate), 129)
+	if err != nil {
+		return nil, err
+	}
+	cached, _ := babbleFilters.LoadOrStore(rate, f)
+	return cached.(*dsp.FIRFilter), nil
 }
 
 // impulsiveNoise produces sparse exponentially-decaying clicks, about eight
@@ -155,16 +189,64 @@ func impulsiveNoise(buf *Buffer, rng *rand.Rand) {
 // humNoise produces a 120 Hz machinery hum with harmonics plus low-level
 // broadband noise, approximating HVAC and refrigeration equipment.
 func humNoise(buf *Buffer, rng *rand.Rand) {
+	wave := humWaveform(buf.Rate, len(buf.Samples))
+	for i := range buf.Samples {
+		buf.Samples[i] = wave[i] + 0.1*rng.NormFloat64()
+	}
+}
+
+// humSample is the deterministic part of hum sample i: it depends only on
+// the index and the rate, so humWaveform tabulates it.
+func humSample(i, rate int) float64 {
 	base := 120.0
 	harmonics := []float64{1, 0.5, 0.3, 0.15, 0.08}
-	for i := range buf.Samples {
-		t := float64(i) / float64(buf.Rate)
-		var v float64
-		for h, amp := range harmonics {
-			v += amp * math.Sin(2*math.Pi*base*float64(h+1)*t)
-		}
-		buf.Samples[i] = v + 0.1*rng.NormFloat64()
+	t := float64(i) / float64(rate)
+	var v float64
+	for h, amp := range harmonics {
+		v += amp * math.Sin(2*math.Pi*base*float64(h+1)*t)
 	}
+	return v
+}
+
+// humTable holds the tabulated hum waveform of one rate. The published
+// slice is never written after Store, so readers need no lock; growth
+// copies it into a new slice under mu.
+type humTable struct {
+	mu   sync.Mutex
+	wave atomic.Pointer[[]float64]
+}
+
+// humTables maps a sample rate to its *humTable.
+var humTables sync.Map
+
+// humWaveform returns humSample(i, rate) for i in [0, n). The result is
+// shared and read-only. A table grows to at least twice its previous
+// length, so it stays under twice the longest recording ever requested at
+// that rate.
+func humWaveform(rate, n int) []float64 {
+	v, ok := humTables.Load(rate)
+	if !ok {
+		v, _ = humTables.LoadOrStore(rate, &humTable{})
+	}
+	h := v.(*humTable)
+	if w := h.wave.Load(); w != nil && len(*w) >= n {
+		return (*w)[:n]
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var old []float64
+	if w := h.wave.Load(); w != nil {
+		if old = *w; len(old) >= n {
+			return old[:n]
+		}
+	}
+	wave := make([]float64, max(n, 2*len(old)))
+	copy(wave, old)
+	for i := len(old); i < len(wave); i++ {
+		wave[i] = humSample(i, rate)
+	}
+	h.wave.Store(&wave)
+	return wave[:n]
 }
 
 // ScaleToSPL rescales the buffer in place so its sound pressure level

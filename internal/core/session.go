@@ -578,10 +578,7 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if err != nil {
 		return nil, probeCfg, false, err
 	}
-	if s.cfg.NLOSThreshold > 0 {
-		// Threshold override plumbed below via IsNLOS call.
-		_ = s.cfg.NLOSThreshold
-	}
+	// s.cfg.NLOSThreshold applies where the spread is judged (IsNLOS below).
 	analysisDevice := watch
 	if s.cfg.Offload {
 		d, err := wl.TransferFile(rec.Len() * 2) // 16-bit PCM

@@ -3,72 +3,115 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
+// CorrelationTemplate is a correlation template with its FFT spectra
+// cached per transform size. The template never changes after
+// construction and each spectrum is computed once and then only read, so
+// one CorrelationTemplate is safe for concurrent use and may be shared
+// process-wide: the modem keeps one per preamble, so a fresh session's
+// demodulator finds the preamble already transformed.
+type CorrelationTemplate struct {
+	template []float64
+	tEnergy  float64
+
+	// specs maps an FFT size to the template's spectrum at that size
+	// (map[int][]complex128). Preamble searches see a few distinct sizes,
+	// each a power of two, so it holds at most one entry per size class.
+	specs sync.Map
+}
+
+// NewCorrelationTemplate copies template, so the caller may reuse its
+// slice.
+func NewCorrelationTemplate(template []float64) (*CorrelationTemplate, error) {
+	if len(template) == 0 {
+		return nil, fmt.Errorf("dsp: empty correlation template")
+	}
+	t := &CorrelationTemplate{template: append([]float64(nil), template...)}
+	for _, v := range t.template {
+		t.tEnergy += v * v
+	}
+	return t, nil
+}
+
+// spectrum returns the n-point FFT of the template, computing it on first
+// use at this size. Two goroutines that miss together both compute the
+// same bits; the first stored copy wins and the other is dropped.
+func (t *CorrelationTemplate) spectrum(n int, rp *RealPlan) ([]complex128, error) {
+	if spec, ok := t.specs.Load(n); ok {
+		return spec.([]complex128), nil
+	}
+	pad := make([]float64, n)
+	copy(pad, t.template)
+	spec := make([]complex128, n)
+	if err := rp.Forward(spec, pad); err != nil {
+		return nil, err
+	}
+	cached, _ := t.specs.LoadOrStore(n, spec)
+	return cached.([]complex128), nil
+}
+
 // Correlator performs repeated cross-correlations against a fixed template
-// without per-call allocation. The template's FFT is computed once per
-// transform size and cached for the lifetime of the Correlator, which is
-// the "pre-transform the preamble once per session" optimization the
-// detector hot path relies on: per frame, only the signal side is
-// transformed.
+// without per-call allocation. The template's FFT comes from its
+// CorrelationTemplate, computed once per transform size, which is the
+// "pre-transform the preamble once" optimization the detector hot path
+// relies on: per frame, only the signal side is transformed.
 //
 // Results are bit-identical to CrossCorrelate / NormalizedCrossCorrelate:
 // the same direct-vs-FFT threshold, the same transform order, and the same
 // normalization arithmetic.
 //
-// A Correlator is NOT safe for concurrent use; give each session (or
-// goroutine) its own. The constructor copies the template, so the caller
-// may reuse its slice.
+// The template spectra may be shared with other Correlators and are only
+// read. The signal scratch belongs to this instance, so a Correlator is
+// NOT safe for concurrent use; give each session (or goroutine) its own.
 type Correlator struct {
-	template []float64
-	tEnergy  float64
-
-	// specs caches the template spectrum per FFT size. Preamble searches
-	// from a given session see at most a couple of distinct sizes.
-	specs map[int][]complex128
+	tmpl *CorrelationTemplate
 
 	sig    []complex128 // signal spectrum scratch, grown to the largest size seen
 	padded []float64    // zero-padded real signal scratch
 }
 
-// NewCorrelator builds a reusable correlator for the given template.
+// NewCorrelator builds a reusable correlator for the given template with
+// a private CorrelationTemplate. The template is copied, so the caller
+// may reuse its slice.
 func NewCorrelator(template []float64) (*Correlator, error) {
-	if len(template) == 0 {
-		return nil, fmt.Errorf("dsp: empty correlation template")
+	t, err := NewCorrelationTemplate(template)
+	if err != nil {
+		return nil, err
 	}
-	c := &Correlator{
-		template: append([]float64(nil), template...),
-		specs:    make(map[int][]complex128),
-	}
-	for _, t := range c.template {
-		c.tEnergy += t * t
-	}
-	return c, nil
+	return t.NewCorrelator(), nil
+}
+
+// NewCorrelator returns a Correlator with its own scratch that shares t's
+// spectra.
+func (t *CorrelationTemplate) NewCorrelator() *Correlator {
+	return &Correlator{tmpl: t}
 }
 
 // TemplateLen reports the template length.
-func (c *Correlator) TemplateLen() int { return len(c.template) }
+func (c *Correlator) TemplateLen() int { return len(c.tmpl.template) }
 
 // OutLen reports the correlation output length for a signal of the given
 // length: sigLen - len(template) + 1.
-func (c *Correlator) OutLen(sigLen int) int { return sigLen - len(c.template) + 1 }
+func (c *Correlator) OutLen(sigLen int) int { return sigLen - len(c.tmpl.template) + 1 }
 
 // CrossCorrelate writes the sliding cross-correlation of signal with the
 // template into dst, which must have length OutLen(len(signal)). After the
 // first call at a given transform size, no allocations occur.
 func (c *Correlator) CrossCorrelate(dst, signal []float64) error {
-	if len(signal) < len(c.template) {
-		return fmt.Errorf("dsp: signal length %d shorter than template %d", len(signal), len(c.template))
+	if len(signal) < len(c.tmpl.template) {
+		return fmt.Errorf("dsp: signal length %d shorter than template %d", len(signal), len(c.tmpl.template))
 	}
 	if want := c.OutLen(len(signal)); len(dst) != want {
 		return fmt.Errorf("dsp: correlation dst length %d, want %d", len(dst), want)
 	}
 	const directThreshold = 4096 // mirror CrossCorrelate's crossover
-	if len(c.template) <= 64 || len(signal)*len(c.template) <= directThreshold {
+	if len(c.tmpl.template) <= 64 || len(signal)*len(c.tmpl.template) <= directThreshold {
 		for i := range dst {
 			var sum float64
-			window := signal[i : i+len(c.template)]
-			for j, t := range c.template {
+			window := signal[i : i+len(c.tmpl.template)]
+			for j, t := range c.tmpl.template {
 				sum += window[j] * t
 			}
 			dst[i] = sum
@@ -79,12 +122,12 @@ func (c *Correlator) CrossCorrelate(dst, signal []float64) error {
 }
 
 func (c *Correlator) correlateFFT(dst, signal []float64) error {
-	n := NextPow2(len(signal) + len(c.template))
+	n := NextPow2(len(signal) + len(c.tmpl.template))
 	rp, err := RealPlanFor(n)
 	if err != nil {
 		return err
 	}
-	spec, err := c.templateSpectrum(n, rp)
+	spec, err := c.tmpl.spectrum(n, rp)
 	if err != nil {
 		return err
 	}
@@ -115,28 +158,12 @@ func (c *Correlator) correlateFFT(dst, signal []float64) error {
 	return nil
 }
 
-// templateSpectrum returns the cached n-point FFT of the template,
-// computing and caching it on first use at this size.
-func (c *Correlator) templateSpectrum(n int, rp *RealPlan) ([]complex128, error) {
-	if spec, ok := c.specs[n]; ok {
-		return spec, nil
-	}
-	pad := make([]float64, n)
-	copy(pad, c.template)
-	spec := make([]complex128, n)
-	if err := rp.Forward(spec, pad); err != nil {
-		return nil, err
-	}
-	c.specs[n] = spec
-	return spec, nil
-}
-
 // Normalized writes the normalized cross-correlation score at every lag
 // into dst (length OutLen(len(signal))), dividing the raw correlation by
 // the template norm times the local window norm exactly as
 // NormalizedCrossCorrelate does.
 func (c *Correlator) Normalized(dst, signal []float64) error {
-	tNorm := math.Sqrt(c.tEnergy)
+	tNorm := math.Sqrt(c.tmpl.tEnergy)
 	if tNorm == 0 {
 		return fmt.Errorf("dsp: correlation template has zero energy")
 	}
@@ -144,7 +171,7 @@ func (c *Correlator) Normalized(dst, signal []float64) error {
 		return err
 	}
 	var wEnergy float64
-	for _, v := range signal[:len(c.template)] {
+	for _, v := range signal[:len(c.tmpl.template)] {
 		wEnergy += v * v
 	}
 	const epsilon = 1e-12
@@ -155,9 +182,9 @@ func (c *Correlator) Normalized(dst, signal []float64) error {
 		} else {
 			dst[i] = 0
 		}
-		if i+len(c.template) < len(signal) {
+		if i+len(c.tmpl.template) < len(signal) {
 			leaving := signal[i]
-			entering := signal[i+len(c.template)]
+			entering := signal[i+len(c.tmpl.template)]
 			wEnergy += entering*entering - leaving*leaving
 		}
 	}

@@ -38,34 +38,70 @@ func (f *FIRFilter) Len() int { return len(f.taps) }
 // compensated: output sample i corresponds to input sample i.
 func (f *FIRFilter) Apply(x []float64) []float64 {
 	out := make([]float64, len(x))
-	half := len(f.taps) / 2
-	for i := range out {
-		var sum float64
-		for j, tap := range f.taps {
-			k := i + half - j
-			if k >= 0 && k < len(x) {
-				sum += tap * x[k]
-			}
-		}
-		out[i] = sum
-	}
+	firInto(out, x, f.taps, len(f.taps)/2)
 	return out
+}
+
+// ApplyInto is Apply writing into dst, which must have length len(x) and
+// must not overlap x. Results are bit-identical to Apply.
+func (f *FIRFilter) ApplyInto(dst, x []float64) error {
+	if len(dst) != len(x) {
+		return fmt.Errorf("dsp: FIR dst length %d, want %d", len(dst), len(x))
+	}
+	firInto(dst, x, f.taps, len(f.taps)/2)
+	return nil
 }
 
 // ApplyCausal filters x without group-delay compensation, as a streaming
 // convolution would: output sample i depends only on inputs <= i.
 func (f *FIRFilter) ApplyCausal(x []float64) []float64 {
 	out := make([]float64, len(x))
-	for i := range out {
+	firInto(out, x, f.taps, 0)
+	return out
+}
+
+// firInto writes out[i] = sum over j of taps[j]*x[i+delay-j], skipping
+// terms whose input index falls outside x. Every output has its own
+// accumulator and adds its terms with j ascending, exactly as the
+// one-output-at-a-time direct form does, so each output is bit-identical
+// to it. Interior outputs, whose terms are all in range, are computed
+// four at a time: one load of each tap feeds four independent
+// accumulators and no term is range-tested. The rest keep the checked
+// loop.
+func firInto(out, x, taps []float64, delay int) {
+	// Output i is interior when i+delay-(len(taps)-1) >= 0 and
+	// i+delay < len(x); out and x have the same length.
+	lo := min(max(len(taps)-1-delay, 0), len(out))
+	hi := max(len(out)-delay, lo)
+	firEdge(out, x, taps, delay, 0, lo)
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		k := i + delay
+		var s0, s1, s2, s3 float64
+		for j, tap := range taps {
+			w := x[k-j : k-j+4 : k-j+4]
+			s0 += tap * w[0]
+			s1 += tap * w[1]
+			s2 += tap * w[2]
+			s3 += tap * w[3]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	firEdge(out, x, taps, delay, i, len(out))
+}
+
+// firEdge is the checked direct form for outputs [from, to): the edges,
+// whose taps may reach outside x, and the last few interior outputs.
+func firEdge(out, x, taps []float64, delay, from, to int) {
+	for i := from; i < to; i++ {
 		var sum float64
-		for j, tap := range f.taps {
-			if k := i - j; k >= 0 {
+		for j, tap := range taps {
+			if k := i + delay - j; k >= 0 && k < len(x) {
 				sum += tap * x[k]
 			}
 		}
 		out[i] = sum
 	}
-	return out
 }
 
 func sinc(x float64) float64 {

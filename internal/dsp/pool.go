@@ -86,3 +86,19 @@ func PutFloat(buf []float64) {
 	buf = buf[:len(buf):len(buf)]
 	floatPool(len(buf)).Put(&buf)
 }
+
+// GetFloatScratch returns a zeroed []float64 of length n whose backing
+// array comes from the pool of the next power-of-two size, so callers
+// whose lengths vary (recordings, noise renders) share a handful of pools
+// instead of one per length. Release it with PutFloatScratch.
+func GetFloatScratch(n int) []float64 {
+	if n <= 0 {
+		return nil
+	}
+	return GetFloat(NextPow2(n))[:n]
+}
+
+// PutFloatScratch recycles a buffer obtained from GetFloatScratch.
+func PutFloatScratch(buf []float64) {
+	PutFloat(buf[:cap(buf)])
+}

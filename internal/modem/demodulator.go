@@ -14,9 +14,12 @@ import (
 // symbol cyclic-prefix fine synchronization, FFT, pilot channel estimation
 // and equalization, and constellation de-mapping.
 //
-// A Demodulator caches per-session state (the pre-transformed preamble
-// template, sorted pilot and null channel sets) and is NOT safe for
-// concurrent use; give each session or goroutine its own.
+// A Demodulator is NOT safe for concurrent use; give each session or
+// goroutine its own. Its scratch, the preamble correlator's included,
+// lives in the RxWorkspace. The preamble and its pre-transformed template
+// are shared read-only by every Demodulator and Modulator of the same
+// chirp, so constructing one per phase costs no preamble synthesis or
+// template FFT once the process has seen that config.
 type Demodulator struct {
 	cfg      Config
 	plan     *dsp.Plan
@@ -25,9 +28,10 @@ type Demodulator struct {
 	detector DetectorConfig
 	eqMethod EqualizerMethod
 
-	// corr holds the preamble template with its FFT cached per transform
-	// size, so the per-frame preamble search transforms only the signal.
-	corr *dsp.Correlator
+	// tmpl is the shared preamble template with its FFT cached per
+	// transform size, so the per-frame preamble search transforms only
+	// the signal.
+	tmpl *dsp.CorrelationTemplate
 	// pilots and nulls are the sorted pilot and null channel sets,
 	// computed once instead of per symbol.
 	pilots []int
@@ -40,8 +44,8 @@ type Demodulator struct {
 	FineSyncRange int
 }
 
-// NewDemodulator validates the configuration and precomputes the FFT plan
-// and reference preamble.
+// NewDemodulator validates the configuration and looks up the FFT plans
+// and the shared reference preamble.
 func NewDemodulator(cfg Config) (*Demodulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -54,11 +58,7 @@ func NewDemodulator(cfg Config) (*Demodulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	preamble, err := Preamble(cfg)
-	if err != nil {
-		return nil, err
-	}
-	corr, err := dsp.NewCorrelator(preamble.Samples)
+	sp, err := sharedPreambleFor(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -72,10 +72,10 @@ func NewDemodulator(cfg Config) (*Demodulator, error) {
 		cfg:             cfg,
 		plan:            plan,
 		rplan:           rplan,
-		preamble:        preamble,
+		preamble:        sp.wave,
 		detector:        detector,
 		eqMethod:        EqualizeFFTInterp,
-		corr:            corr,
+		tmpl:            sp.tmpl,
 		pilots:          cfg.sortedPilots(),
 		nulls:           cfg.NullChannels(),
 		FineSyncEnabled: true,

@@ -193,8 +193,8 @@ func DetectPreamble(rec *audio.Buffer, preamble *audio.Buffer, cfg DetectorConfi
 
 // detectPreambleInto is the demodulator's allocation-free preamble search:
 // the same two-stage front end as DetectPreamble, but the normalized
-// correlation runs against the session's pre-transformed preamble template
-// (d.corr) and every buffer is workspace-owned. The returned Detection
+// correlation runs against the shared pre-transformed preamble template
+// (d.tmpl) and every buffer is workspace-owned. The returned Detection
 // aliases the workspace. Decisions and scores are bit-identical to
 // DetectPreamble.
 func (d *Demodulator) detectPreambleInto(rec *audio.Buffer, ws *RxWorkspace) (*Detection, Cost, error) {
@@ -238,8 +238,9 @@ func (d *Demodulator) detectPreambleInto(rec *audio.Buffer, ws *RxWorkspace) (*D
 	if len(region) < preambleLen {
 		return nil, cost, &ErrNoSignal{Reason: "signal onset too close to end of recording"}
 	}
-	ws.scores = growFloat(ws.scores, d.corr.OutLen(len(region)))
-	err = d.corr.Normalized(ws.scores, region)
+	corr := ws.correlator(d.tmpl)
+	ws.scores = growFloat(ws.scores, corr.OutLen(len(region)))
+	err = corr.Normalized(ws.scores, region)
 	cost.CorrelationMACs += correlationCost(len(region), preambleLen)
 	if err != nil {
 		return nil, cost, fmt.Errorf("modem: preamble correlation: %w", err)
@@ -260,8 +261,8 @@ func (d *Demodulator) detectPreambleInto(rec *audio.Buffer, ws *RxWorkspace) (*D
 	}
 	if cfg.MinProminence > 0 && headEnd >= 2*preambleLen {
 		head := rec.Samples[:headEnd]
-		ws.scores = growFloat(ws.scores, d.corr.OutLen(len(head)))
-		err := d.corr.Normalized(ws.scores, head)
+		ws.scores = growFloat(ws.scores, corr.OutLen(len(head)))
+		err := corr.Normalized(ws.scores, head)
 		cost.CorrelationMACs += correlationCost(len(head), preambleLen)
 		if err == nil && len(ws.scores) > 0 {
 			var noiseRef float64

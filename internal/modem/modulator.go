@@ -3,6 +3,7 @@ package modem
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"wearlock/internal/audio"
 	"wearlock/internal/dsp"
@@ -31,11 +32,11 @@ func NewModulator(cfg Config) (*Modulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	preamble, err := Preamble(cfg)
+	sp, err := sharedPreambleFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Modulator{cfg: cfg, plan: plan, preamble: preamble}, nil
+	return &Modulator{cfg: cfg, plan: plan, preamble: sp.wave}, nil
 }
 
 // Config returns the modulator's configuration.
@@ -53,6 +54,46 @@ func Preamble(cfg Config) (*audio.Buffer, error) {
 		Amplitude:  1,
 		FadeLen:    cfg.PreambleLen / 16,
 	})
+}
+
+// sharedPreamble is a synthesized preamble and its correlation template,
+// shared read-only by every Modulator and Demodulator whose configs
+// synthesize the same chirp. Neither is ever written after construction.
+type sharedPreamble struct {
+	wave *audio.Buffer
+	tmpl *dsp.CorrelationTemplate
+}
+
+// preambleKey holds every Config input of Preamble. The band edges are
+// kept as bit patterns so a NaN edge still compares equal to itself.
+type preambleKey struct {
+	rate, length int
+	low, high    uint64
+}
+
+// preambles maps a preambleKey to its *sharedPreamble. It holds one entry
+// per distinct chirp a process has used, each a few kilobytes plus one
+// template spectrum per preamble-search transform size.
+var preambles sync.Map
+
+// sharedPreambleFor returns the shared preamble for cfg, synthesizing it
+// on first use.
+func sharedPreambleFor(cfg Config) (*sharedPreamble, error) {
+	low, high := cfg.BandEdges()
+	key := preambleKey{cfg.SampleRate, cfg.PreambleLen, math.Float64bits(low), math.Float64bits(high)}
+	if sp, ok := preambles.Load(key); ok {
+		return sp.(*sharedPreamble), nil
+	}
+	wave, err := Preamble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tmpl, err := dsp.NewCorrelationTemplate(wave.Samples)
+	if err != nil {
+		return nil, err
+	}
+	sp, _ := preambles.LoadOrStore(key, &sharedPreamble{wave: wave, tmpl: tmpl})
+	return sp.(*sharedPreamble), nil
 }
 
 // PreambleWaveform returns a copy of the precomputed preamble.

@@ -2,6 +2,8 @@ package modem
 
 import (
 	"sync"
+
+	"wearlock/internal/dsp"
 )
 
 // Scratch-buffer ownership rules (DESIGN.md §10): a workspace owns every
@@ -65,6 +67,21 @@ type RxWorkspace struct {
 	fwin   []float64 // zero-padded real window for band levels
 	fftBuf []complex128
 	scores []float64 // preamble correlation scores
+
+	// corr correlates against corrTmpl with scratch owned by this
+	// workspace; it is rebuilt only when the workspace serves another
+	// preamble.
+	corr     *dsp.Correlator
+	corrTmpl *dsp.CorrelationTemplate
+}
+
+// correlator returns the workspace's correlator for the preamble template
+// t. The template's spectra are shared; the signal scratch is not.
+func (ws *RxWorkspace) correlator(t *dsp.CorrelationTemplate) *dsp.Correlator {
+	if ws.corrTmpl != t {
+		ws.corr, ws.corrTmpl = t.NewCorrelator(), t
+	}
+	return ws.corr
 }
 
 // reset clears the result shell for a new frame, keeping capacity.

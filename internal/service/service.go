@@ -767,7 +767,9 @@ func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout 
 	}
 	wall := now.Sub(sess.submitted)
 	sess.mu.Unlock()
-	close(sess.done)
+	// done closes after the counters below, so a caller that has seen the
+	// session finish reads metrics that already include it.
+	defer close(sess.done)
 
 	s.m.wallSeconds.Observe(wall.Seconds())
 	s.observeWall(wall)
