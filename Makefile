@@ -8,8 +8,12 @@ GO ?= go
 
 ci: vet lint lint-scenarios build race bench test-chaos test-store test-vtime test-cluster test-replica bench-dsp bench-service bench-store bench-vtime bench-cluster bench-failover
 
+# The second vet builds dsp for a platform without the SSE2 FIR kernel,
+# so the portable Go kernel keeps compiling; on amd64, vet's asmdecl
+# check covers fir_amd64.s.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/dsp
 
 # staticcheck when the host has it; vet-only hosts still pass `make ci`.
 lint:
@@ -98,6 +102,7 @@ test-replica:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
 	$(GO) test -run='^$$' -fuzz=FuzzFIRApply -fuzztime=10s ./internal/dsp
+	$(GO) test -run='^$$' -fuzz=FuzzFFTKernel -fuzztime=10s ./internal/dsp
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzPayloadDecoders -fuzztime=10s ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault

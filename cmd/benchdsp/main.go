@@ -16,6 +16,7 @@ import (
 	"os"
 	"testing"
 
+	"wearlock/internal/benchenv"
 	"wearlock/internal/dsp"
 	"wearlock/internal/modem"
 )
@@ -34,6 +35,7 @@ type caseReport struct {
 }
 
 type report struct {
+	benchenv.Header
 	Description string       `json:"description"`
 	Cases       []caseReport `json:"cases"`
 }
@@ -95,6 +97,7 @@ func main() {
 	}
 
 	rep := report{
+		Header:      benchenv.Capture(),
 		Description: "old-vs-new DSP fast-path benchmarks (ns/op via testing.Benchmark); speedup = old/new",
 	}
 	failed := false

@@ -3,10 +3,12 @@ package acoustic
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"wearlock/internal/audio"
+	"wearlock/internal/dsp"
 )
 
 func TestPropagationAttenuation(t *testing.T) {
@@ -333,5 +335,95 @@ func TestMicProfileApplyExported(t *testing.T) {
 	mic := MicProfile{Name: "test", ClockJitter: 1e-5, ADCBits: 16}
 	if err := mic.Apply(buf, rng); err != nil {
 		t.Fatalf("Apply: %v", err)
+	}
+}
+
+// TestMicLowPassCachedInPlace pins the cached, in-place watch-mic
+// low-pass to the per-recording design it replaced: same output bits,
+// written into the caller's slice, one filter per (cutoff, rate, taps).
+func TestMicLowPassCachedInPlace(t *testing.T) {
+	mic := WatchMic()
+	mic.ClockJitter, mic.PhaseRippleRad, mic.SelfNoiseSPL, mic.ADCBits = 0, 0, 0, 0
+	rng := rand.New(rand.NewSource(17))
+	for _, rate := range []int{44100, 48000} {
+		for _, n := range []int{1, 31, 4096, 9001} {
+			buf, err := audio.NewBuffer(rate, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf.Samples {
+				buf.Samples[i] = rng.NormFloat64()
+			}
+			lp, err := dsp.LowPassFIR(mic.LowPassHz, float64(rate), mic.LowPassTaps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := lp.Apply(buf.Samples)
+			samples := buf.Samples
+			if err := mic.Apply(buf, nil); err != nil {
+				t.Fatal(err)
+			}
+			if &buf.Samples[0] != &samples[0] || len(buf.Samples) != n {
+				t.Fatalf("rate %d, n %d: Apply replaced the sample slice instead of filtering in place", rate, n)
+			}
+			for i := range want {
+				if math.Float64bits(buf.Samples[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("rate %d, n %d: sample %d = %v, fresh filter gives %v", rate, n, i, buf.Samples[i], want[i])
+				}
+			}
+		}
+		a, err := micLowPass(mic.LowPassHz, rate, mic.LowPassTaps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := micLowPass(mic.LowPassHz, rate, mic.LowPassTaps); a != b {
+			t.Errorf("rate %d: micLowPass designed the filter twice", rate)
+		}
+		if c, _ := micLowPass(mic.LowPassHz, rate, mic.LowPassTaps+2); c == a {
+			t.Errorf("rate %d: micLowPass ignored the tap count in its key", rate)
+		}
+	}
+}
+
+// TestMicLowPassConcurrent applies a mic whose filter is not cached yet
+// from several goroutines at once; every recording must match the
+// uncached design. Run under -race.
+func TestMicLowPassConcurrent(t *testing.T) {
+	mic := MicProfile{Name: "concurrent", LowPassHz: 6123, LowPassTaps: 41}
+	const rate, n, workers = 44100, 3000, 8
+	lp, err := dsp.LowPassFIR(mic.LowPassHz, rate, mic.LowPassTaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([][]float64, workers)
+	rng := rand.New(rand.NewSource(23))
+	for w := range inputs {
+		inputs[w] = make([]float64, n)
+		for i := range inputs[w] {
+			inputs[w][i] = rng.NormFloat64()
+		}
+	}
+	outs := make([]*audio.Buffer, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		outs[w] = &audio.Buffer{Rate: rate, Samples: append([]float64(nil), inputs[w]...)}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = mic.Apply(outs[w], nil)
+		}(w)
+	}
+	wg.Wait()
+	for w := range outs {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		want := lp.Apply(inputs[w])
+		for i := range want {
+			if math.Float64bits(outs[w].Samples[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("worker %d sample %d: %v, uncached filter %v", w, i, outs[w].Samples[i], want[i])
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"wearlock/internal/audio"
 	"wearlock/internal/dsp"
@@ -115,9 +116,11 @@ func PhoneMic() MicProfile {
 	}
 }
 
-// Apply renders the microphone path onto a recording. Exported so the
-// attack package can model relay hardware re-sampling a capture through
-// its own imperfect ADC/DAC chain.
+// Apply renders the microphone path onto a recording, in place: the
+// low-pass filter overwrites buf.Samples rather than replacing the slice,
+// so callers that must keep the original samples pass a clone. Exported
+// so the attack package can model relay hardware re-sampling a capture
+// through its own imperfect ADC/DAC chain.
 func (m MicProfile) Apply(buf *audio.Buffer, rng *rand.Rand) error {
 	return m.apply(buf, rng)
 }
@@ -129,11 +132,17 @@ func (m MicProfile) apply(buf *audio.Buffer, rng *rand.Rand) error {
 		if taps < 3 {
 			taps = 31
 		}
-		lp, err := dsp.LowPassFIR(m.LowPassHz, float64(buf.Rate), taps)
+		lp, err := micLowPass(m.LowPassHz, buf.Rate, taps)
 		if err != nil {
 			return fmt.Errorf("acoustic: mic %s low-pass: %w", m.Name, err)
 		}
-		buf.Samples = lp.Apply(buf.Samples)
+		filtered := dsp.GetFloatScratch(len(buf.Samples))
+		err = lp.ApplyInto(filtered, buf.Samples)
+		copy(buf.Samples, filtered)
+		dsp.PutFloatScratch(filtered)
+		if err != nil {
+			return fmt.Errorf("acoustic: mic %s low-pass: %w", m.Name, err)
+		}
 	}
 	if m.ClockJitter > 0 && rng != nil {
 		applyClockJitter(buf, m.ClockJitter, rng)
@@ -156,6 +165,33 @@ func (m MicProfile) apply(buf *audio.Buffer, rng *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// micLowPassKey identifies one designed mic low-pass filter.
+type micLowPassKey struct {
+	cutoffHz float64
+	rate     int
+	taps     int
+}
+
+// micLowPasses caches the mic low-pass per (cutoff, rate, taps)
+// (map[micLowPassKey]*dsp.FIRFilter). A filter is immutable once
+// designed, so concurrent recordings share it.
+var micLowPasses sync.Map
+
+// micLowPass returns the windowed-sinc low-pass for the key, designing it
+// on first use.
+func micLowPass(cutoffHz float64, rate, taps int) (*dsp.FIRFilter, error) {
+	key := micLowPassKey{cutoffHz, rate, taps}
+	if f, ok := micLowPasses.Load(key); ok {
+		return f.(*dsp.FIRFilter), nil
+	}
+	f, err := dsp.LowPassFIR(cutoffHz, float64(rate), taps)
+	if err != nil {
+		return nil, err
+	}
+	cached, _ := micLowPasses.LoadOrStore(key, f)
+	return cached.(*dsp.FIRFilter), nil
 }
 
 // applyPhaseRipple filters the recording through a random all-pass

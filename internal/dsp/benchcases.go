@@ -17,8 +17,9 @@ type BenchCase struct {
 }
 
 // BenchCases builds the dsp benchmark pairs over deterministic fixtures
-// sized like the modem hot path: 256-point symbol transforms, a preamble
-// search over an 8k-sample recording, the 8-pilot-to-32-bin equalizer
+// sized like the session hot path: 256-point symbol transforms, a
+// 16k-point round trip like the mic phase ripple's, a preamble search
+// over an 8k-sample recording, the 8-pilot-to-32-bin equalizer
 // interpolation, the three-bin tone detector, and the 129-tap voice-band
 // FIR the babble-noise generator runs over a probe-length recording.
 func BenchCases() ([]BenchCase, error) {
@@ -35,6 +36,18 @@ func BenchCases() ([]BenchCase, error) {
 		return nil, err
 	}
 	fwdBuf := make([]complex128, 256)
+
+	p16k, err := PlanFor(1 << 14)
+	if err != nil {
+		return nil, err
+	}
+	sig16k := benchCaseSignal(1 << 14)
+	src16k := make([]complex128, len(sig16k))
+	for i, v := range sig16k {
+		src16k[i] = complex(v, 0)
+	}
+	buf16k := make([]complex128, len(src16k))
+	scale16k := complex(1/float64(len(src16k)), 0)
 
 	corr, err := NewCorrelator(tmpl)
 	if err != nil {
@@ -72,6 +85,30 @@ func BenchCases() ([]BenchCase, error) {
 			},
 			New: func() error {
 				return rp.Forward(fwdBuf, sym)
+			},
+		},
+		{
+			Name: "dsp/fft-16k",
+			// 1.24-1.92x over five benchdsp runs on a 2-vCPU amd64 VM
+			// (1.44-1.54x as a min of 15 interleaved rounds); the floor
+			// leaves room for host noise.
+			MinSpeedup:          1.15,
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				p16k.permute(buf16k, src16k)
+				butterfliesRadix2(buf16k, p16k.twiddles, 2, false)
+				p16k.permute(buf16k, buf16k)
+				butterfliesRadix2(buf16k, p16k.twiddles, 2, true)
+				for i := range buf16k {
+					buf16k[i] *= scale16k
+				}
+				return nil
+			},
+			New: func() error {
+				if err := p16k.Forward(buf16k, src16k); err != nil {
+					return err
+				}
+				return p16k.Inverse(buf16k, buf16k)
 			},
 		},
 		{
@@ -145,6 +182,35 @@ func firDirectForm(out, x, taps []float64, delay int) {
 			}
 		}
 		out[i] = sum
+	}
+}
+
+// butterfliesRadix2 is the original stage-by-stage butterfly loop of
+// Plan, one radix-2 stage per pass over data, with the inverse branch
+// inside the loop. twiddles is the plan's e^{-2πik/n} table. It is kept
+// frozen as the baseline of the dsp/fft-16k pair and as the reference the
+// fused kernel is proven bit-identical against; do not optimize it.
+func butterfliesRadix2(data, twiddles []complex128, fromSize int, inverse bool) {
+	n := len(data)
+	for size := fromSize; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			a0 := data[start]
+			b0 := data[start+half]
+			data[start] = a0 + b0
+			data[start+half] = a0 - b0
+			for k := 1; k < half; k++ {
+				w := twiddles[k*step]
+				if inverse {
+					w = complex(real(w), -imag(w))
+				}
+				a := data[start+k]
+				b := data[start+k+half] * w
+				data[start+k] = a + b
+				data[start+k+half] = a - b
+			}
+		}
 	}
 }
 

@@ -21,9 +21,13 @@ import (
 // power-of-two FFT size so that repeated transforms avoid recomputing
 // trigonometry. A Plan is safe for concurrent use after creation.
 type Plan struct {
-	n        int
-	rev      []int        // bit-reversal permutation
-	twiddles []complex128 // e^{-2πik/n} for k in [0, n/2)
+	n   int
+	rev []int // bit-reversal permutation
+	// stages holds the twiddles of every butterfly stage back to back:
+	// the stage with half-size h reads stages[h-1 : 2h-1], whose entry k
+	// is twiddles[k*n/(2h)] copied bit for bit.
+	stages   []complex128
+	twiddles []complex128 // e^{-2πik/n} for k in [0, n/2): the last stage's segment
 }
 
 // NewPlan creates an FFT plan for transforms of length n. It returns an
@@ -33,17 +37,27 @@ func NewPlan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("dsp: FFT size %d is not a positive power of two", n)
 	}
 	p := &Plan{
-		n:        n,
-		rev:      make([]int, n),
-		twiddles: make([]complex128, n/2),
+		n:      n,
+		rev:    make([]int, n),
+		stages: make([]complex128, n-1),
 	}
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := range p.rev {
 		p.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
 	}
+	if n == 1 {
+		return p, nil
+	}
+	p.twiddles = p.stages[n/2-1:]
 	for k := range p.twiddles {
 		angle := -2 * math.Pi * float64(k) / float64(n)
 		p.twiddles[k] = complex(math.Cos(angle), math.Sin(angle))
+	}
+	for h := n / 4; h >= 1; h >>= 1 {
+		seg, step := p.stages[h-1:2*h-1], n/(2*h)
+		for k := range seg {
+			seg[k] = p.twiddles[k*step]
+		}
 	}
 	return p, nil
 }
@@ -128,31 +142,103 @@ func (p *Plan) butterflies(data []complex128, inverse bool) {
 	p.butterfliesFrom(data, 2, inverse)
 }
 
-// butterfliesFrom runs the butterfly stages for block sizes fromSize..n.
+// butterfliesFrom runs the radix-2 butterfly stages for block sizes
+// fromSize..n. RealPlan enters at fromSize=8 after running its specialized
+// real-input stages.
+//
+// Stages are fused in pairs: one pass over memory runs the stages with
+// half-sizes h and 2h (block sizes 2h and 4h) on registers, group by
+// group of four elements k, k+h, k+2h, k+3h (fusedPass). Each butterfly
+// is the same radix-2 operation with the same twiddle as in a
+// stage-by-stage loop; only the order of independent butterflies
+// differs, so every output bit is unchanged. An odd stage count ends
+// with one plain radix-2 pass.
+//
 // The k=0 butterfly of every block is peeled out of the twiddle loop: its
 // twiddle is exactly 1, so the complex multiply reduces to the identity
-// (for finite inputs, bit-for-bit up to the sign of exact zeros). RealPlan
-// enters at fromSize=8 after running its specialized real-input stages.
+// (for finite inputs, bit-for-bit up to the sign of exact zeros). The
+// inverse transform conjugates each twiddle by multiplying its imaginary
+// part by sign = -1, which is exact.
 func (p *Plan) butterfliesFrom(data []complex128, fromSize int, inverse bool) {
-	n := p.n
-	for size := fromSize; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			a0 := data[start]
-			b0 := data[start+half]
-			data[start] = a0 + b0
-			data[start+half] = a0 - b0
-			for k := 1; k < half; k++ {
-				w := p.twiddles[k*step]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				a := data[start+k]
-				b := data[start+k+half] * w
-				data[start+k] = a + b
-				data[start+k+half] = a - b
-			}
+	sign := 1.0
+	if inverse {
+		sign = -1
+	}
+	h := fromSize >> 1
+	for ; 4*h <= p.n; h <<= 2 {
+		fusedPass(data, p.stages[h-1:4*h-1], h, sign)
+	}
+	if 2*h <= p.n {
+		radix2Pass(data, p.stages[h-1:2*h-1], h, sign)
+	}
+}
+
+// fusedPass runs the two butterfly stages with half-sizes h and 2h. tw
+// holds both stages' twiddles: tw[:h] for the first, tw[h:] for the
+// second.
+func fusedPass(data, tw []complex128, h int, sign float64) {
+	twA, twB0, twB1 := tw[:h], tw[h:2*h], tw[2*h:3*h]
+	wq := twB1[0]
+	wq = complex(real(wq), sign*imag(wq))
+	if h == 1 {
+		// Stages 2 and 4: every group is a whole block and only its k=0
+		// butterflies exist, so skip the per-block slicing.
+		for s := 0; s+4 <= len(data); s += 4 {
+			d := data[s : s+4 : s+4]
+			x0, x1 := d[0]+d[1], d[0]-d[1]
+			x2, x3 := d[2]+d[3], d[2]-d[3]
+			t := x3 * wq
+			d[0], d[2] = x0+x2, x0-x2
+			d[1], d[3] = x1+t, x1-t
+		}
+		return
+	}
+	for start := 0; start < len(data); start += 4 * h {
+		d0 := data[start : start+h]
+		d1 := data[start+h : start+2*h][:len(d0)]
+		d2 := data[start+2*h : start+3*h][:len(d0)]
+		d3 := data[start+3*h : start+4*h][:len(d0)]
+		// k=0: both first-stage butterflies and the second stage's
+		// (0, 2h) butterfly are peeled; (h, 3h) uses twiddle twB1[0].
+		x0, x1, x2, x3 := d0[0], d1[0], d2[0], d3[0]
+		x0, x1 = x0+x1, x0-x1
+		x2, x3 = x2+x3, x2-x3
+		t := x3 * wq
+		d0[0], d2[0] = x0+x2, x0-x2
+		d1[0], d3[0] = x1+t, x1-t
+		a, b0, b1 := twA[:len(d0)], twB0[:len(d0)], twB1[:len(d0)]
+		for k := 1; k < len(d0); k++ {
+			w := a[k]
+			w = complex(real(w), sign*imag(w))
+			x0, t = d0[k], d1[k]*w
+			x0, x1 = x0+t, x0-t
+			x2, t = d2[k], d3[k]*w
+			x2, x3 = x2+t, x2-t
+			w = b0[k]
+			t = x2 * complex(real(w), sign*imag(w))
+			d0[k], d2[k] = x0+t, x0-t
+			w = b1[k]
+			t = x3 * complex(real(w), sign*imag(w))
+			d1[k], d3[k] = x1+t, x1-t
+		}
+	}
+}
+
+// radix2Pass runs the one butterfly stage with half-size h, whose
+// twiddles are tw.
+func radix2Pass(data, tw []complex128, h int, sign float64) {
+	for start := 0; start < len(data); start += 2 * h {
+		d0 := data[start : start+h]
+		d1 := data[start+h : start+2*h][:len(d0)]
+		a, b := d0[0], d1[0]
+		d0[0], d1[0] = a+b, a-b
+		tw := tw[:len(d0)]
+		for k := 1; k < len(d0); k++ {
+			w := tw[k]
+			w = complex(real(w), sign*imag(w))
+			t := d1[k] * w
+			a := d0[k]
+			d0[k], d1[k] = a+t, a-t
 		}
 	}
 }

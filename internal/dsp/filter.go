@@ -60,14 +60,22 @@ func (f *FIRFilter) ApplyCausal(x []float64) []float64 {
 	return out
 }
 
+// firBlocks8, when set, computes every whole block of eight outputs of
+// out[i] = sum over j ascending of taps[j]*x[i+len(taps)-1-j], with the
+// same per-output arithmetic as firInterior4. fir_amd64.go sets it to the
+// SSE2 kernel; elsewhere it stays nil and the Go kernel does all interior
+// outputs.
+var firBlocks8 func(out, x, taps []float64)
+
 // firInto writes out[i] = sum over j of taps[j]*x[i+delay-j], skipping
 // terms whose input index falls outside x. Every output has its own
 // accumulator and adds its terms with j ascending, exactly as the
 // one-output-at-a-time direct form does, so each output is bit-identical
-// to it. Interior outputs, whose terms are all in range, are computed
-// four at a time: one load of each tap feeds four independent
-// accumulators and no term is range-tested. The rest keep the checked
-// loop.
+// to it (up to NaN payloads; see DESIGN.md §10.5). Interior outputs, whose
+// terms are all in range, go eight at a time through firBlocks8 and the
+// rest four at a time through firInterior4; no interior term is
+// range-tested. The edges and the last few interior outputs keep the
+// checked loop.
 func firInto(out, x, taps []float64, delay int) {
 	// Output i is interior when i+delay-(len(taps)-1) >= 0 and
 	// i+delay < len(x); out and x have the same length.
@@ -75,7 +83,20 @@ func firInto(out, x, taps []float64, delay int) {
 	hi := max(len(out)-delay, lo)
 	firEdge(out, x, taps, delay, 0, lo)
 	i := lo
-	for ; i+4 <= hi; i += 4 {
+	if n8 := (hi - lo) &^ 7; n8 > 0 && firBlocks8 != nil {
+		firBlocks8(out[lo:lo+n8], x[lo+delay-(len(taps)-1):lo+n8+delay], taps)
+		i += n8
+	}
+	i = firInterior4(out, x, taps, delay, i, hi)
+	firEdge(out, x, taps, delay, i, len(out))
+}
+
+// firInterior4 computes the interior outputs [from, to) four at a time:
+// one load of each tap feeds four independent accumulators. It returns
+// the first output it left for the caller (fewer than four remain).
+func firInterior4(out, x, taps []float64, delay, from, to int) int {
+	i := from
+	for ; i+4 <= to; i += 4 {
 		k := i + delay
 		var s0, s1, s2, s3 float64
 		for j, tap := range taps {
@@ -87,7 +108,7 @@ func firInto(out, x, taps []float64, delay int) {
 		}
 		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
 	}
-	firEdge(out, x, taps, delay, i, len(out))
+	return i
 }
 
 // firEdge is the checked direct form for outputs [from, to): the edges,

@@ -8,7 +8,8 @@ import (
 )
 
 // checkFIRBitIdentical runs Apply, ApplyInto and ApplyCausal on x and
-// compares every output bit pattern against the frozen direct-form loop.
+// compares every output bit pattern against the frozen direct-form loop,
+// under the sameFloat contract: NaN payloads are free, NaN-ness is not.
 func checkFIRBitIdentical(t *testing.T, taps, x []float64) {
 	t.Helper()
 	f, err := NewFIRFilter(taps)
@@ -38,7 +39,7 @@ func checkFIRBitIdentical(t *testing.T, taps, x []float64) {
 			t.Fatalf("%s: %d taps, len(x)=%d: output length %d, want %d", got.name, len(taps), len(x), len(got.out), len(got.want))
 		}
 		for i := range got.out {
-			if math.Float64bits(got.out[i]) != math.Float64bits(got.want[i]) {
+			if !sameFloat(got.out[i], got.want[i]) {
 				t.Fatalf("%s: %d taps, len(x)=%d: out[%d] = %v (%#x), direct form %v (%#x)",
 					got.name, len(taps), len(x), i, got.out[i], math.Float64bits(got.out[i]), got.want[i], math.Float64bits(got.want[i]))
 			}
@@ -78,6 +79,74 @@ func TestFIRApplyBitIdenticalDesignedFilters(t *testing.T) {
 	x := benchCaseSignal(22050)
 	checkFIRBitIdentical(t, bp.taps, x)
 	checkFIRBitIdentical(t, lp.taps, x)
+}
+
+// interiorKernel computes out[i] = sum over j ascending of
+// taps[j]*x[i+len(taps)-1-j] for every whole block of outputs.
+type interiorKernel func(out, x, taps []float64)
+
+// checkInteriorKernel compares a kernel of the given block size with the
+// direct form for 1-130 taps and output counts around multiples of eight. out, x and taps are
+// cut from their backing arrays at odd element offsets, so no 16-byte
+// load is aligned, and are fenced by NaN: a read past either end of x
+// shows up as a NaN output, a write past the computed prefix as a changed
+// fence.
+func checkInteriorKernel(t *testing.T, name string, block int, kernel interiorKernel) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	value := func() float64 {
+		switch rng.Intn(16) {
+		case 0:
+			return math.Copysign(0, float64(rng.Intn(2))-0.5)
+		case 1:
+			return rng.NormFloat64() * 1e-310
+		default:
+			return rng.NormFloat64() * math.Exp(4*rng.NormFloat64())
+		}
+	}
+	// fenced returns n values at an odd offset in a NaN-filled backing.
+	fenced := func(n int, fill bool) []float64 {
+		b := make([]float64, n+4)
+		for i := range b {
+			b[i] = math.NaN()
+		}
+		s := b[3 : 3+n : 3+n]
+		if fill {
+			for i := range s {
+				s[i] = value()
+			}
+		}
+		return s
+	}
+	for nt := 1; nt <= 130; nt++ {
+		taps := fenced(nt, true)
+		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65} {
+			x := fenced(n+nt-1, true)
+			out := fenced(n, false)
+			kernel(out, x, taps)
+			done := n - n%block
+			want := make([]float64, n)
+			firDirectForm(want, x, taps, nt-1)
+			for i := range out {
+				if i >= done {
+					if !math.IsNaN(out[i]) {
+						t.Fatalf("%s: %d taps, %d outputs: wrote out[%d] beyond its %d", name, nt, n, i, done)
+					}
+					continue
+				}
+				if !sameFloat(out[i], want[i]) {
+					t.Fatalf("%s: %d taps, %d outputs: out[%d] = %v (%#x), direct form %v (%#x)",
+						name, nt, n, i, out[i], math.Float64bits(out[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+func TestFIRGoKernelBitIdentical(t *testing.T) {
+	checkInteriorKernel(t, "firInterior4", 4, func(out, x, taps []float64) {
+		firInterior4(out, x, taps, len(taps)-1, 0, len(out))
+	})
 }
 
 func TestFIRApplyIntoValidation(t *testing.T) {

@@ -6,7 +6,9 @@ import (
 )
 
 // RealPlan is the real-input fast path through the FFT. It wraps the
-// complex Plan of the same size and keeps its exact butterfly order, so a
+// complex Plan of the same size and runs the same butterflies with the
+// same operands and twiddles (each butterfly's arithmetic is fixed; only
+// the order of independent butterflies is the kernel's choice), so a
 // RealPlan transform is bit-identical to widening the samples to
 // complex128 and running Plan.Forward — the property the golden-vector
 // modem tests and the chaos replay pin down. The speed comes from what a
@@ -58,6 +60,18 @@ func (rp *RealPlan) Forward(dst []complex128, src []float64) error {
 	if len(dst) != n || len(src) != n {
 		return fmt.Errorf("dsp: real plan size %d does not match dst %d / src %d", n, len(dst), len(src))
 	}
+	rp.realStages(dst, src)
+	// From stage size=8 on the intermediates are genuinely complex; run
+	// the shared butterfly kernel, same butterflies as the complex plan.
+	p.butterfliesFrom(dst, 8, false)
+	return nil
+}
+
+// realStages widens src into dst in bit-reversed order and runs the
+// butterfly stages of sizes 2 and 4, whose operands are all real.
+func (rp *RealPlan) realStages(dst []complex128, src []float64) {
+	p := rp.p
+	n := p.n
 	// Widen and bit-reverse in one pass.
 	for i, j := range p.rev {
 		dst[i] = complex(src[j], 0)
@@ -85,10 +99,6 @@ func (rp *RealPlan) Forward(dst []complex128, src []float64) error {
 			dst[s+3] = complex(a1-re, -im)
 		}
 	}
-	// From stage size=8 on the intermediates are genuinely complex; run
-	// the shared butterfly kernel, same order as the complex plan.
-	p.butterfliesFrom(dst, 8, false)
-	return nil
 }
 
 // Inverse computes the real part of the inverse DFT of src into dst,
