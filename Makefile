@@ -76,14 +76,15 @@ test-vtime:
 	$(GO) test -run='^$$' -fuzz=FuzzVTimeSchedule -fuzztime=10s ./internal/vtime
 
 # The cluster suite (DESIGN.md §13): ring/wire/aggregation unit tests,
-# the shard-mode ownership/fence/epoch contract, and the race-enabled
-# multi-daemon integration tests — real gateway and shards over loopback
-# HTTP, including the live-handoff chaos drill (a shard joins under
-# closed-loop load; zero counter regressions, zero accepted replays,
-# zero dropped requests).
+# the shard-mode ownership/fence/epoch contract, the shared drill rig and
+# safety oracle (DESIGN.md §17), and the race-enabled multi-daemon
+# integration tests — real gateway and shards over loopback HTTP,
+# including the live-handoff chaos drill (a shard joins under
+# closed-loop load; the oracle passes, zero dropped requests).
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 ./internal/service -run 'TestShard|TestRetryAfter'
+	$(GO) test -race -count=1 ./internal/rig
 	$(GO) test -race -count=1 ./cmd/benchcluster
 
 # The replication suite (DESIGN.md §16): WAL tail subscription

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wearlock/internal/cluster"
+	"wearlock/internal/rig"
 )
 
 // testBenchConfig keeps integration runs quick: small fleet, light
@@ -23,31 +25,18 @@ func testBenchConfig() benchConfig {
 // traffic, and the aggregated /metrics carries shard-labeled samples
 // plus the gateway build info.
 func TestClusterUnlockThroughGateway(t *testing.T) {
-	tc, err := bootCluster(2, testBenchConfig(), "")
+	r, err := rig.Cluster(shardConfigs(2, testBenchConfig(), ""), cluster.GatewayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.close()
+	defer r.Close()
 	client := &http.Client{Timeout: 60 * time.Second}
 
 	shardsSeen := map[string]bool{}
 	for i := 0; i < 8; i++ {
-		resp, err := client.Post(tc.base+"/v1/unlock", "application/json",
-			bytes.NewReader([]byte(`{"scenario":"default"}`)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("unlock %d answered %d: %s", i, resp.StatusCode, body)
-		}
-		var view struct {
-			ID    string `json:"id"`
-			State string `json:"state"`
-		}
-		if err := json.Unmarshal(body, &view); err != nil {
-			t.Fatal(err)
+		view, status, _, err := rig.Unlock(client, r.URL, rig.Request{Scenario: "default"})
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("unlock %d answered %d: %v", i, status, err)
 		}
 		shard, _, ok := strings.Cut(view.ID, ".")
 		if !ok {
@@ -55,7 +44,7 @@ func TestClusterUnlockThroughGateway(t *testing.T) {
 		}
 		shardsSeen[shard] = true
 
-		poll, err := client.Get(tc.base + "/v1/sessions/" + view.ID)
+		poll, err := client.Get(r.URL + "/v1/sessions/" + view.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +58,7 @@ func TestClusterUnlockThroughGateway(t *testing.T) {
 		t.Errorf("round-robin reached shards %v, want both", shardsSeen)
 	}
 
-	ready, err := client.Get(tc.base + "/readyz")
+	ready, err := client.Get(r.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +67,7 @@ func TestClusterUnlockThroughGateway(t *testing.T) {
 		t.Errorf("/readyz answered %d", ready.StatusCode)
 	}
 
-	metrics, err := client.Get(tc.base + "/metrics")
+	metrics, err := client.Get(r.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,49 +85,35 @@ func TestClusterUnlockThroughGateway(t *testing.T) {
 
 // TestClusterHandoffUnderLoad is the race-enabled chaos drill: a third
 // shard joins a 2-shard durable cluster while closed-loop clients hammer
-// the gateway. The handoff must move a range, and the three invariants
-// must hold: no HOTP counter regression, no device unlocking more often
-// than its counter advanced, no request dropped without a retryable
-// answer.
+// the gateway. The handoff must move a range, the shared safety oracle
+// must pass on the per-device maximum across shards (no lost device, no
+// key change, no HOTP counter regression, no device unlocking more often
+// than its counter advanced), and no request may be dropped without a
+// retryable answer.
 func TestClusterHandoffUnderLoad(t *testing.T) {
 	cfg := testBenchConfig()
 	stateDir := t.TempDir()
-	tc, err := bootCluster(2, cfg, stateDir)
+	r, err := rig.Cluster(shardConfigs(2, cfg, stateDir), cluster.GatewayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.close()
+	defer r.Close()
 
-	before := maxCounters(tc)
+	before := r.State()
 	stop := make(chan struct{})
-	lc, wg := driveLoad(tc.base, 6, stop)
+	lc, wg := driveLoad(r.URL, 6, stop)
 	time.Sleep(400 * time.Millisecond)
 
-	newShard, err := bootShard(tc, shardConfig(cfg, "s2", stateDir))
+	newShard, err := r.Boot(shardConfig(cfg, "s2", stateDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinBody, _ := json.Marshal(map[string]string{"name": newShard.Name, "base_url": newShard.BaseURL})
-	client := &http.Client{Timeout: 120 * time.Second}
-	resp, err := client.Post(tc.base+"/cluster/v1/shards", "application/json", bytes.NewReader(joinBody))
+	handoffs, err := joinShard(r.URL, newShard.Shard())
 	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("join answered %d: %s", resp.StatusCode, raw)
-	}
-	var joined struct {
-		Handoffs []struct {
-			Devices []int `json:"devices"`
-		} `json:"handoffs"`
-	}
-	if err := json.Unmarshal(raw, &joined); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
-	for _, h := range joined.Handoffs {
+	for _, h := range handoffs {
 		moved += len(h.Devices)
 	}
 	if moved == 0 {
@@ -149,19 +124,9 @@ func TestClusterHandoffUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	after := maxCounters(tc)
-	for id, b := range before {
-		if after[id] < b {
-			t.Errorf("device %d counter regressed %d -> %d across handoff", id, b, after[id])
-		}
+	if v := rig.Oracle(before, lc.unlockedByDevice, r.State()); !v.OK() {
+		t.Errorf("safety oracle across handoff: %q", v.Failures)
 	}
-	lc.mu.Lock()
-	for id, n := range lc.unlockedByDevice {
-		if delta := after[id] - before[id]; uint64(n) > delta {
-			t.Errorf("device %d unlocked %d times but counter advanced %d — accepted replay", id, n, delta)
-		}
-	}
-	lc.mu.Unlock()
 	if dropped := lc.dropped.Load(); dropped != 0 {
 		t.Errorf("%d requests dropped without a retryable answer", dropped)
 	}
@@ -171,7 +136,8 @@ func TestClusterHandoffUnderLoad(t *testing.T) {
 
 	// Post-handoff the new shard serves its range: the topology reports
 	// three shards and /readyz stays green.
-	top, err := client.Get(tc.base + "/cluster/v1/topology")
+	client := &http.Client{Timeout: 60 * time.Second}
+	top, err := client.Get(r.URL + "/cluster/v1/topology")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +163,15 @@ func TestClusterHandoffUnderLoad(t *testing.T) {
 }
 
 // TestClusterEphemeralPorts covers the -listen :0 discovery path end to
-// end at the package level: every bootShard listener binds :0 and the
-// cluster still assembles, proving nothing assumes fixed ports.
+// end at the package level: every rig listener binds :0 and the cluster
+// still assembles, proving nothing assumes fixed ports.
 func TestClusterEphemeralPorts(t *testing.T) {
-	tc, err := bootCluster(4, testBenchConfig(), "")
+	r, err := rig.Cluster(shardConfigs(4, testBenchConfig(), ""), cluster.GatewayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.close()
-	top := tc.gw.Topology()
+	defer r.Close()
+	top := r.Gateway.Topology()
 	seen := map[string]bool{}
 	for _, sh := range top.Shards {
 		if !strings.HasPrefix(sh.BaseURL, "http://127.0.0.1:") {

@@ -3,10 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/rig"
 )
 
 // adoptFaultProxy fronts one shard and fails the Nth Adopt import with
@@ -79,93 +78,59 @@ func TestClusterJoinAbortKeepsCommittedMoves(t *testing.T) {
 	cfg := testBenchConfig()
 	stateDir := t.TempDir()
 
-	tc := &testCluster{}
-	defer tc.close()
-	var shardCfgs []cluster.ShardConfig
-	for i := 0; i < 2; i++ {
-		sc, err := bootShard(tc, shardConfig(cfg, fmt.Sprintf("s%d", i), stateDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardCfgs = append(shardCfgs, sc)
-	}
 	// MoveChunk 2 forces a multi-move plan even on a 16-device fleet, so
 	// "fail the second adopt" always lands after a committed first move.
-	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Shards:         shardCfgs,
-		TotalDevices:   cfg.Devices,
+	r, err := rig.Cluster(shardConfigs(2, cfg, stateDir), cluster.GatewayConfig{
 		MoveChunk:      2,
 		HandoffTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gw.Register(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := &http.Server{Handler: gw.Handler()}
-	go func() { _ = server.Serve(ln) }()
-	tc.cleanup = append(tc.cleanup, func() { _ = server.Close() })
-	tc.gw = gw
-	tc.base = "http://" + ln.Addr().String()
+	defer r.Close()
+	gw := r.Gateway
 
-	s2, err := bootShard(tc, shardConfig(cfg, "s2", stateDir))
+	s2, err := r.Boot(shardConfig(cfg, "s2", stateDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := &adoptFaultProxy{backend: s2.BaseURL, failNth: 2}
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
+	proxy := &adoptFaultProxy{backend: s2.URL, failNth: 2}
+	proxyURL, _, err := r.Serve(proxy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pserver := &http.Server{Handler: proxy}
-	go func() { _ = pserver.Serve(pln) }()
-	tc.cleanup = append(tc.cleanup, func() { _ = pserver.Close() })
-	proxyURL := "http://" + pln.Addr().String()
 
 	client := &http.Client{Timeout: 60 * time.Second}
 	var mu sync.Mutex
 	unlocks := map[int]int{}
-	unlockDevice := func(d int) error {
+	// unlockServed retries one device until a session is served: a
+	// fenced-admitted session, backpressure and a mid-handoff 503 are all
+	// retryable.
+	unlockServed := func(d int) error {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			body, _ := json.Marshal(map[string]any{"scenario": "default", "device": d})
-			resp, err := client.Post(tc.base+"/v1/unlock", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return fmt.Errorf("unlock device %d: %w", d, err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			var view sessionView
-			_ = json.Unmarshal(raw, &view)
+			view, status, _, err := rig.Unlock(client, r.URL, rig.Pin("default", d))
 			switch {
-			case resp.StatusCode == http.StatusOK && !(view.State == "failed" && view.Error != ""):
+			case err != nil:
+				return fmt.Errorf("unlock device %d: %w", d, err)
+			case status == http.StatusOK && !view.Fenced():
 				if view.Unlocked {
 					mu.Lock()
 					unlocks[d]++
 					mu.Unlock()
 				}
 				return nil
-			case resp.StatusCode == http.StatusOK,
-				resp.StatusCode == http.StatusTooManyRequests,
-				resp.StatusCode == http.StatusServiceUnavailable:
-				// Retryable: fenced-admitted session, backpressure, or a
-				// mid-handoff 503.
-			default:
-				return fmt.Errorf("unlock device %d answered %d: %s", d, resp.StatusCode, raw)
+			case status != http.StatusOK && status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable:
+				return fmt.Errorf("unlock device %d answered %d", d, status)
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("unlock device %d still failing at deadline: %d %s", d, resp.StatusCode, raw)
+				return fmt.Errorf("unlock device %d still failing at deadline: %d", d, status)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
 
-	before := maxCounters(tc)
+	before := r.State()
 
 	// At the injected fault the first move is committed and its override
 	// routes to s2: drive traffic onto that range so the target's durable
@@ -181,7 +146,7 @@ func TestClusterJoinAbortKeepsCommittedMoves(t *testing.T) {
 			hookErr = fmt.Errorf("no devices routed to s2 at fault time")
 		}
 		for _, d := range committed {
-			if err := unlockDevice(d); err != nil && hookErr == nil {
+			if err := unlockServed(d); err != nil && hookErr == nil {
 				hookErr = err
 			}
 		}
@@ -222,7 +187,7 @@ func TestClusterJoinAbortKeepsCommittedMoves(t *testing.T) {
 	// left behind (abort recovery dying with the canceled join context)
 	// would make this loop 503 until its deadline.
 	for d := 0; d < cfg.Devices; d++ {
-		if err := unlockDevice(d); err != nil {
+		if err := unlockServed(d); err != nil {
 			t.Fatalf("post-abort: %v", err)
 		}
 	}
@@ -241,26 +206,18 @@ func TestClusterJoinAbortKeepsCommittedMoves(t *testing.T) {
 		}
 	}
 	for d := 0; d < cfg.Devices; d++ {
-		if err := unlockDevice(d); err != nil {
+		if err := unlockServed(d); err != nil {
 			t.Fatalf("post-resume: %v", err)
 		}
 	}
 
-	// Invariants across abort and resume: no counter regressed, and no
-	// device unlocked more often than its authoritative counter advanced
-	// (an accepted replay — exactly what re-granting sources their stale
-	// pre-handoff ranges would produce).
-	after := maxCounters(tc)
-	for id, b := range before {
-		if after[id] < b {
-			t.Errorf("device %d counter regressed %d -> %d", id, b, after[id])
-		}
-	}
+	// Invariants across abort and resume, from the shared oracle: no
+	// counter regressed, and no device unlocked more often than its
+	// authoritative counter advanced (an accepted replay — exactly what
+	// re-granting sources their stale pre-handoff ranges would produce).
 	mu.Lock()
 	defer mu.Unlock()
-	for id, n := range unlocks {
-		if delta := after[id] - before[id]; uint64(n) > delta {
-			t.Errorf("device %d unlocked %d times but its counter advanced %d — accepted replay", id, n, delta)
-		}
+	if v := rig.Oracle(before, unlocks, r.State()); !v.OK() {
+		t.Errorf("safety oracle across abort and resume: %q", v.Failures)
 	}
 }

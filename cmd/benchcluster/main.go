@@ -15,11 +15,12 @@
 //
 // Handoff drill: a 2-shard durable cluster takes live traffic while a
 // third shard joins via POST /cluster/v1/shards (snapshot shipping +
-// WAL tail replay). The drill fails if any device's max-across-shards
-// HOTP verifier counter regressed, if any device unlocked more times
-// than its counter advanced (an accepted replay), or if any client
-// request ended without either a success or a retryable 429/503 with
-// Retry-After (a drop).
+// WAL tail replay). The drill fails if the shared safety oracle
+// (internal/rig) finds a lost device, a changed pairing key, a
+// regressed HOTP counter or a device that unlocked more times than its
+// verifier counter advanced, judged on the per-device maximum across
+// shards; or if any client request ended without either a success or a
+// retryable 429/503 with Retry-After (a drop).
 //
 // Usage:
 //
@@ -28,33 +29,31 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"wearlock/internal/benchenv"
 	"wearlock/internal/cluster"
+	"wearlock/internal/rig"
 	"wearlock/internal/service"
 )
 
 // benchConfig is the recorded bench parameterization.
 type benchConfig struct {
-	Devices    int     `json:"devices"`
-	Workers    int     `json:"workers_per_shard"`
-	Queue      int     `json:"queue_per_shard"`
-	Pace       float64 `json:"pace"`
-	DurationS  float64 `json:"phase_seconds"`
-	Seed       int64   `json:"seed"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
+	Devices   int     `json:"devices"`
+	Workers   int     `json:"workers_per_shard"`
+	Queue     int     `json:"queue_per_shard"`
+	Pace      float64 `json:"pace"`
+	DurationS float64 `json:"phase_seconds"`
+	Seed      int64   `json:"seed"`
 }
 
 // phaseResult is one scaling phase's outcome.
@@ -68,17 +67,16 @@ type phaseResult struct {
 
 // drillResult is the handoff drill's outcome and invariant counters.
 type drillResult struct {
-	DevicesMoved       int     `json:"devices_moved"`
-	TailRecords        int     `json:"tail_records"`
-	HandoffSeconds     float64 `json:"handoff_seconds"`
-	Requests           int64   `json:"requests"`
-	Unlocked           int64   `json:"unlocked"`
-	Retried429         int64   `json:"retried_429"`
-	Retried503         int64   `json:"retried_503"`
-	FencedRetried      int64   `json:"fenced_retried"`
-	Dropped            int64   `json:"dropped"`
-	CounterRegressions int     `json:"counter_regressions"`
-	AcceptedReplays    int     `json:"accepted_replays"`
+	DevicesMoved   int     `json:"devices_moved"`
+	TailRecords    int     `json:"tail_records"`
+	HandoffSeconds float64 `json:"handoff_seconds"`
+	Requests       int64   `json:"requests"`
+	Unlocked       int64   `json:"unlocked"`
+	Retried429     int64   `json:"retried_429"`
+	Retried503     int64   `json:"retried_503"`
+	FencedRetried  int64   `json:"fenced_retried"`
+	Dropped        int64   `json:"dropped"`
+	rig.Verdict
 }
 
 // gates records the pass/fail thresholds alongside the measurements.
@@ -90,6 +88,7 @@ type gates struct {
 }
 
 type report struct {
+	benchenv.Header
 	Config benchConfig   `json:"config"`
 	Phases []phaseResult `json:"phases"`
 	Drill  drillResult   `json:"handoff_drill"`
@@ -111,17 +110,14 @@ func run() int {
 	flag.Parse()
 
 	cfg := benchConfig{
-		Devices:    64,
-		Workers:    2,
-		Queue:      16,
-		Pace:       *paceF,
-		DurationS:  duration.Seconds(),
-		Seed:       *seed,
-		GOMAXPROCS: service.DefaultConfig().Workers, // 0 = GOMAXPROCS marker; replaced below
+		Devices:   64,
+		Workers:   2,
+		Queue:     16,
+		Pace:      *paceF,
+		DurationS: duration.Seconds(),
+		Seed:      *seed,
 	}
-	cfg.GOMAXPROCS = gomaxprocs()
-
-	rep := report{Config: cfg}
+	rep := report{Header: benchenv.Capture(), Config: cfg}
 
 	// Scaling phases.
 	var base float64
@@ -150,9 +146,10 @@ func run() int {
 	}
 	rep.Drill = dr
 	fmt.Printf("handoff: %d devices moved (%d tail records) in %.2fs under %d live requests "+
-		"(%d unlocked, %d deferred-503, %d fenced-retried, %d dropped, %d counter regressions, %d accepted replays)\n",
-		dr.DevicesMoved, dr.TailRecords, dr.HandoffSeconds, dr.Requests,
-		dr.Unlocked, dr.Retried503, dr.FencedRetried, dr.Dropped, dr.CounterRegressions, dr.AcceptedReplays)
+		"(%d unlocked, %d deferred-503, %d fenced-retried, %d dropped, %d lost devices, %d key changes, "+
+		"%d counter regressions, %d lost-or-replayed)\n",
+		dr.DevicesMoved, dr.TailRecords, dr.HandoffSeconds, dr.Requests, dr.Unlocked, dr.Retried503,
+		dr.FencedRetried, dr.Dropped, dr.LostDevices, dr.KeyChanges, dr.CounterRegressions, dr.LostOrReplayed)
 
 	// Gates.
 	g := gates{Speedup2Min: 1.8, Speedup4Min: 3.2, Pass: true}
@@ -166,11 +163,8 @@ func run() int {
 	if s := rep.Phases[2].Speedup; s < g.Speedup4Min {
 		fail("4-shard speedup %.2fx < %.2fx", s, g.Speedup4Min)
 	}
-	if dr.CounterRegressions > 0 {
-		fail("%d HOTP counter regressions across handoff", dr.CounterRegressions)
-	}
-	if dr.AcceptedReplays > 0 {
-		fail("%d devices unlocked more times than their counters advanced", dr.AcceptedReplays)
+	for _, p := range dr.Problems() {
+		fail("handoff: %s", p)
 	}
 	if dr.Dropped > 0 {
 		fail("%d requests dropped without a retryable answer", dr.Dropped)
@@ -205,21 +199,6 @@ func run() int {
 	return 0
 }
 
-// testCluster is one booted in-process cluster: shard services behind
-// real loopback HTTP servers, fronted by a gateway.
-type testCluster struct {
-	base     string
-	gw       *cluster.Gateway
-	services []*service.Service
-	cleanup  []func()
-}
-
-func (tc *testCluster) close() {
-	for i := len(tc.cleanup) - 1; i >= 0; i-- {
-		tc.cleanup[i]()
-	}
-}
-
 // shardConfig builds one shard's service config off the shared bench
 // parameters. Every shard sees the full fleet with the same seed, so
 // all shards hold identical initial pairings and any of them can adopt
@@ -239,91 +218,37 @@ func shardConfig(cfg benchConfig, id string, stateDir string) service.Config {
 	return sc
 }
 
-// bootShard starts one shard service and serves it over loopback HTTP.
-func bootShard(tc *testCluster, sc service.Config) (cluster.ShardConfig, error) {
-	svc, err := service.New(sc)
-	if err != nil {
-		return cluster.ShardConfig{}, err
+// shardConfigs is shards s0..s(n-1).
+func shardConfigs(n int, cfg benchConfig, stateDir string) []service.Config {
+	out := make([]service.Config, n)
+	for i := range out {
+		out[i] = shardConfig(cfg, fmt.Sprintf("s%d", i), stateDir)
 	}
-	if sc.StateDir != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := svc.WaitReady(ctx)
-		cancel()
-		if err != nil {
-			return cluster.ShardConfig{}, fmt.Errorf("shard %s recovery: %w", sc.ShardID, err)
-		}
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return cluster.ShardConfig{}, err
-	}
-	server := &http.Server{Handler: svc.Handler()}
-	go func() { _ = server.Serve(ln) }()
-	tc.services = append(tc.services, svc)
-	tc.cleanup = append(tc.cleanup, func() { _ = server.Close() })
-	return cluster.ShardConfig{Name: sc.ShardID, BaseURL: "http://" + ln.Addr().String()}, nil
+	return out
 }
 
-// bootCluster brings up n shards and a registered gateway.
-func bootCluster(n int, cfg benchConfig, stateDir string) (*testCluster, error) {
-	tc := &testCluster{}
-	var shardCfgs []cluster.ShardConfig
-	for i := 0; i < n; i++ {
-		sc, err := bootShard(tc, shardConfig(cfg, fmt.Sprintf("s%d", i), stateDir))
-		if err != nil {
-			tc.close()
-			return nil, err
-		}
-		shardCfgs = append(shardCfgs, sc)
-	}
-	gw, err := cluster.NewGateway(cluster.GatewayConfig{Shards: shardCfgs, TotalDevices: cfg.Devices})
+// joinShard adds a booted shard through the gateway's admin API — the
+// same snapshot-shipping path an operator would use — and returns the
+// per-move handoff reports.
+func joinShard(base string, shard cluster.ShardConfig) ([]cluster.HandoffReport, error) {
+	body, _ := json.Marshal(map[string]string{"name": shard.Name, "base_url": shard.BaseURL})
+	client := &http.Client{Timeout: 120 * time.Second}
+	resp, err := client.Post(base+"/cluster/v1/shards", "application/json", bytes.NewReader(body))
 	if err != nil {
-		tc.close()
 		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = gw.Register(ctx)
-	cancel()
-	if err != nil {
-		tc.close()
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tc.close()
-		return nil, err
-	}
-	server := &http.Server{Handler: gw.Handler()}
-	go func() { _ = server.Serve(ln) }()
-	tc.cleanup = append(tc.cleanup, func() { _ = server.Close() })
-	tc.gw = gw
-	tc.base = "http://" + ln.Addr().String()
-	return tc, nil
-}
-
-// sessionView is the slice of the daemon's session snapshot the bench
-// needs: which device ran and whether it unlocked.
-type sessionView struct {
-	Device   int    `json:"device"`
-	State    string `json:"state"`
-	Unlocked bool   `json:"unlocked"`
-	Error    string `json:"error"`
-}
-
-// unlockOnce issues one synchronous unlock and classifies the answer.
-func unlockOnce(client *http.Client, base string) (view sessionView, status int, retryAfter bool, err error) {
-	resp, err := client.Post(base+"/v1/unlock", "application/json",
-		bytes.NewReader([]byte(`{"scenario":"default"}`)))
-	if err != nil {
-		return sessionView{}, 0, false, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return sessionView{}, 0, false, err
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("join answered %d: %s", resp.StatusCode, raw)
 	}
-	_ = json.Unmarshal(body, &view)
-	return view, resp.StatusCode, resp.Header.Get("Retry-After") != "", nil
+	var joined struct {
+		Handoffs []cluster.HandoffReport `json:"handoffs"`
+	}
+	if err := json.Unmarshal(raw, &joined); err != nil {
+		return nil, fmt.Errorf("join response: %w", err)
+	}
+	return joined.Handoffs, nil
 }
 
 // driveLoad runs a closed loop of clients against base until stop is
@@ -353,22 +278,22 @@ func driveLoad(base string, clients int, stop <-chan struct{}) (*loadCounters, *
 				}
 				lc.requests.Add(1)
 				for {
-					view, status, ra, err := unlockOnce(client, base)
+					view, status, ra, err := rig.Unlock(client, base, rig.Request{Scenario: "default"})
 					if err != nil {
 						lc.dropped.Add(1)
 						break
 					}
-					if status == http.StatusTooManyRequests && ra {
+					if status == http.StatusTooManyRequests && ra != "" {
 						lc.retried429.Add(1)
 						time.Sleep(50 * time.Millisecond)
 						continue
 					}
-					if status == http.StatusServiceUnavailable && ra {
+					if status == http.StatusServiceUnavailable && ra != "" {
 						lc.retried503.Add(1)
 						time.Sleep(50 * time.Millisecond)
 						continue
 					}
-					if status == http.StatusOK && view.State == "failed" && view.Error != "" {
+					if status == http.StatusOK && view.Fenced() {
 						// A session admitted before a fence but scheduled
 						// after it fails without touching the device; it is
 						// retryable, not dropped.
@@ -400,14 +325,14 @@ func driveLoad(base string, clients int, stop <-chan struct{}) (*loadCounters, *
 // loop needs enough in-flight requests that the lighter shards stay
 // saturated while clients queue at the heavier ones.
 func runPhase(k int, cfg benchConfig, duration time.Duration) (phaseResult, error) {
-	tc, err := bootCluster(k, cfg, "")
+	r, err := rig.Cluster(shardConfigs(k, cfg, ""), cluster.GatewayConfig{})
 	if err != nil {
 		return phaseResult{}, err
 	}
-	defer tc.close()
+	defer r.Close()
 
 	stop := make(chan struct{})
-	lc, wg := driveLoad(tc.base, 4*cfg.Workers*k, stop)
+	lc, wg := driveLoad(r.URL, 4*cfg.Workers*k, stop)
 	start := time.Now()
 	time.Sleep(duration)
 	close(stop)
@@ -423,26 +348,6 @@ func runPhase(k int, cfg benchConfig, duration time.Duration) (phaseResult, erro
 	}, nil
 }
 
-// maxCounters reduces every shard's durable state to the per-device
-// maximum HOTP verifier counter — the cluster-wide authoritative value,
-// since only the owning shard advances a device and handoff ships
-// monotone state.
-func maxCounters(tc *testCluster) map[int]uint64 {
-	out := map[int]uint64{}
-	for _, svc := range tc.services {
-		st, ok := svc.StoreState()
-		if !ok {
-			continue
-		}
-		for id, d := range st.Devices {
-			if d.VerCounter > out[id] {
-				out[id] = d.VerCounter
-			}
-		}
-	}
-	return out
-}
-
 // runDrill performs the live-handoff invariant drill.
 func runDrill(cfg benchConfig) (drillResult, error) {
 	stateDir, err := os.MkdirTemp("", "benchcluster-*")
@@ -451,57 +356,33 @@ func runDrill(cfg benchConfig) (drillResult, error) {
 	}
 	defer os.RemoveAll(stateDir)
 
-	tc, err := bootCluster(2, cfg, stateDir)
+	r, err := rig.Cluster(shardConfigs(2, cfg, stateDir), cluster.GatewayConfig{})
 	if err != nil {
 		return drillResult{}, err
 	}
-	defer tc.close()
+	defer r.Close()
 
-	before := maxCounters(tc)
-
+	before := r.State()
 	stop := make(chan struct{})
-	lc, wg := driveLoad(tc.base, 8, stop)
+	lc, wg := driveLoad(r.URL, 8, stop)
 	time.Sleep(1500 * time.Millisecond)
 
-	// Join a third shard mid-load through the gateway's admin API — the
-	// same snapshot-shipping path an operator would use.
-	newShard, err := bootShard(tc, shardConfig(cfg, "s2", stateDir))
-	if err != nil {
-		close(stop)
-		wg.Wait()
-		return drillResult{}, err
+	newShard, err := r.Boot(shardConfig(cfg, "s2", stateDir))
+	var handoffs []cluster.HandoffReport
+	var handoffSecs float64
+	if err == nil {
+		hStart := time.Now()
+		handoffs, err = joinShard(r.URL, newShard.Shard())
+		handoffSecs = time.Since(hStart).Seconds()
 	}
-	joinBody, _ := json.Marshal(map[string]string{"name": newShard.Name, "base_url": newShard.BaseURL})
-	client := &http.Client{Timeout: 120 * time.Second}
-	hStart := time.Now()
-	resp, err := client.Post(tc.base+"/cluster/v1/shards", "application/json", bytes.NewReader(joinBody))
-	if err != nil {
-		close(stop)
-		wg.Wait()
-		return drillResult{}, err
+	if err == nil {
+		time.Sleep(1500 * time.Millisecond)
 	}
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		close(stop)
-		wg.Wait()
-		return drillResult{}, fmt.Errorf("join answered %d: %s", resp.StatusCode, raw)
-	}
-	var joined struct {
-		Handoffs []cluster.HandoffReport `json:"handoffs"`
-	}
-	if err := json.Unmarshal(raw, &joined); err != nil {
-		close(stop)
-		wg.Wait()
-		return drillResult{}, fmt.Errorf("join response: %w", err)
-	}
-	handoffSecs := time.Since(hStart).Seconds()
-
-	time.Sleep(1500 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-
-	after := maxCounters(tc)
+	if err != nil {
+		return drillResult{}, err
+	}
 
 	dr := drillResult{
 		HandoffSeconds: handoffSecs,
@@ -511,26 +392,11 @@ func runDrill(cfg benchConfig) (drillResult, error) {
 		Retried503:     lc.retried503.Load(),
 		FencedRetried:  lc.fencedRetried.Load(),
 		Dropped:        lc.dropped.Load(),
+		Verdict:        rig.Oracle(before, lc.unlockedByDevice, r.State()),
 	}
-	for _, h := range joined.Handoffs {
+	for _, h := range handoffs {
 		dr.DevicesMoved += len(h.Devices)
 		dr.TailRecords += h.TailRecords
 	}
-	for id, b := range before {
-		if after[id] < b {
-			dr.CounterRegressions++
-		}
-	}
-	lc.mu.Lock()
-	for id, n := range lc.unlockedByDevice {
-		if delta := after[id] - before[id]; uint64(n) > delta {
-			dr.AcceptedReplays++
-		}
-	}
-	lc.mu.Unlock()
 	return dr, nil
-}
-
-func gomaxprocs() int {
-	return runtime.GOMAXPROCS(0)
 }

@@ -40,7 +40,6 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,6 +47,8 @@ import (
 	"syscall"
 	"time"
 
+	"wearlock/internal/benchenv"
+	"wearlock/internal/rig"
 	"wearlock/internal/store"
 )
 
@@ -90,29 +91,27 @@ type replayBench struct {
 	Pass       bool    `json:"pass"`
 }
 
-// chaosBench is the kill -9 drill result.
+// chaosBench is the kill -9 drill result; the safety counts are the
+// shared oracle's, summed over cycles.
 type chaosBench struct {
-	Cycles      int    `json:"cycles"`
-	AckedTotal  uint64 `json:"acked_commits_total"`
-	Regressions int    `json:"counter_regressions"`
-	AckedLost   int    `json:"acked_but_lost"`
-	Corruptions int    `json:"corruptions"`
-	Pass        bool   `json:"pass"`
+	Cycles     int    `json:"cycles"`
+	AckedTotal uint64 `json:"acked_commits_total"`
+	rig.Verdict
+	Corruptions int  `json:"corruptions"`
+	Pass        bool `json:"pass"`
 }
 
 type report struct {
-	Date       string       `json:"date"`
-	GoVersion  string       `json:"go_version"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Devices    int          `json:"devices"`
-	Entries    []entry      `json:"entries"`
-	GateMS     float64      `json:"gate_ms"`
-	GatePass   bool         `json:"gate_pass"`
-	Monotone   bool         `json:"monotone"`
-	Commit     *commitBench `json:"commit_throughput,omitempty"`
-	Replay     *replayBench `json:"parallel_replay,omitempty"`
-	Chaos      *chaosBench  `json:"kill_chaos,omitempty"`
-	Note       string       `json:"note"`
+	benchenv.Header
+	Devices  int          `json:"devices"`
+	Entries  []entry      `json:"entries"`
+	GateMS   float64      `json:"gate_ms"`
+	GatePass bool         `json:"gate_pass"`
+	Monotone bool         `json:"monotone"`
+	Commit   *commitBench `json:"commit_throughput,omitempty"`
+	Replay   *replayBench `json:"parallel_replay,omitempty"`
+	Chaos    *chaosBench  `json:"kill_chaos,omitempty"`
+	Note     string       `json:"note"`
 }
 
 func main() {
@@ -414,10 +413,12 @@ func killChild(dir string) int {
 }
 
 // runKillChaos SIGKILLs the committing subprocess for the given number
-// of cycles and checks after each kill that every acknowledged commit
-// survived replay: per-device recovered counters must cover the last
-// acked value (zero acked-but-lost) and must never fall below the
-// previous cycle's recovered floor (zero regressions).
+// of cycles and, after each kill, runs the shared safety oracle from the
+// previous cycle's recovered state (the floor) to this one's: no device
+// lost, no counter below the floor, and every acked commit durable. The
+// acked count per device is its last acked counter minus the floor,
+// which is exact because the child counts up by one from the recovered
+// counter.
 func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 	dir, err := os.MkdirTemp("", "benchstore-chaos-")
 	if err != nil {
@@ -427,7 +428,7 @@ func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	cb := &chaosBench{Cycles: cycles}
-	floor := map[int]uint64{} // device → recovered counter floor
+	var floor store.State // the previous cycle's recovered state
 	for cycle := 0; cycle < cycles; cycle++ {
 		cmd := exec.Command(os.Args[0], "-kill-child", "-kill-dir", dir)
 		out, err := cmd.StdoutPipe()
@@ -482,30 +483,18 @@ func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 			cb.Corruptions += info.Corruptions + len(info.Distrusted)
 			fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: kill -9 produced damage: %+v\n", cycle, info)
 		}
+		delta := map[int]int{}
 		for dev, v := range acked {
-			d, ok := st.Devices[dev]
-			if !ok || d.GenCounter < v {
-				cb.AckedLost++
-				got := uint64(0)
-				if ok {
-					got = d.GenCounter
-				}
-				fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: device %d acked %d but recovered %d\n",
-					cycle, dev, v, got)
-			}
+			delta[dev] = int(v - floor.Devices[dev].VerCounter)
 		}
-		for dev, prev := range floor {
-			if d, ok := st.Devices[dev]; !ok || d.GenCounter < prev {
-				cb.Regressions++
-				fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: device %d counter regressed below floor %d\n",
-					cycle, dev, prev)
-			}
+		verdict := rig.Oracle(floor, delta, st)
+		for _, f := range verdict.Failures {
+			fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: %s\n", cycle, f)
 		}
-		for dev, d := range st.Devices {
-			floor[dev] = d.GenCounter
-		}
+		cb.Verdict.Add(verdict)
+		floor = st
 	}
-	cb.Pass = cb.AckedLost == 0 && cb.Regressions == 0 && cb.Corruptions == 0
+	cb.Pass = cb.Verdict.OK() && cb.Corruptions == 0
 	return cb, nil
 }
 
@@ -543,12 +532,10 @@ func run() int {
 	}
 
 	rep := report{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Devices:    *devices,
-		GateMS:     float64(gate.Milliseconds()),
-		Monotone:   true,
+		Header:   benchenv.Capture(),
+		Devices:  *devices,
+		GateMS:   float64(gate.Milliseconds()),
+		Monotone: true,
 		Note: "Cold-start WAL replay (store.Inspect: snapshot load + segmented replay + merge), fastest of -iters runs. " +
 			"Replay time is unlock downtime: wearlockd answers 503 until recovery completes. " +
 			"commit_throughput: real-fsync commits/sec from -writers concurrent writers, group committer vs CommitMaxBatch=1 baseline. " +
@@ -629,9 +616,9 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "benchstore: chaos drill: %v\n", err)
 			return 1
 		}
-		fmt.Printf("kill chaos:        %d cycles, %d acked commits, %d lost, %d regressions, %d corruptions %s\n",
-			rep.Chaos.Cycles, rep.Chaos.AckedTotal, rep.Chaos.AckedLost,
-			rep.Chaos.Regressions, rep.Chaos.Corruptions, passStr(rep.Chaos.Pass))
+		fmt.Printf("kill chaos:        %d cycles, %d acked commits, %d lost-or-replayed, %d lost devices, %d regressions, %d corruptions %s\n",
+			rep.Chaos.Cycles, rep.Chaos.AckedTotal, rep.Chaos.LostOrReplayed, rep.Chaos.LostDevices,
+			rep.Chaos.CounterRegressions, rep.Chaos.Corruptions, passStr(rep.Chaos.Pass))
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -34,14 +34,9 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -55,10 +50,13 @@ import (
 
 	"wearlock/internal/cluster"
 	"wearlock/internal/core"
+	"wearlock/internal/fault"
+	"wearlock/internal/rig"
 	"wearlock/internal/scenario/catalog"
 	"wearlock/internal/service"
 	"wearlock/internal/sim"
 	"wearlock/internal/store"
+	"wearlock/internal/telemetry"
 	"wearlock/internal/vtime"
 )
 
@@ -126,7 +124,7 @@ type virtualRecord struct {
 // device fleet, faults derived from (seed, sequence) — the same
 // contract wearlockd applies — with the resilience ladder armed
 // whenever a fault schedule is, mirroring the daemon.
-func runVirtual(mix *service.Mix, scenarios map[string]core.Scenario, n, devices, fleets int, seed int64, mixSpec, chaosSpec, out string) int {
+func runVirtual(mix *service.Mix, scenarios map[string]core.Scenario, n, devices, fleets int, seed int64, mixSpec, chaosSpec string, sch *fault.Schedule, out string) int {
 	if devices <= 0 {
 		devices = service.DefaultConfig().Devices
 	}
@@ -134,11 +132,6 @@ func runVirtual(mix *service.Mix, scenarios map[string]core.Scenario, n, devices
 		fleets = 1
 	}
 	cfg := core.DefaultConfig()
-	sch, err := catalog.ResolveChaos(chaosSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 1
-	}
 	if sch != nil {
 		cfg.Resilience = core.DefaultResilience()
 	}
@@ -241,111 +234,126 @@ type storeReport struct {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
-		addr     = flag.String("addr", "http://localhost:8547", "daemon base URL")
-		selfhost = flag.Bool("selfhost", false, "boot an in-process daemon on a loopback port")
-		n        = flag.Int("n", 256, "total requests")
-		c        = flag.Int("c", 32, "concurrent client workers")
-		rate     = flag.Float64("rate", 0, "open-loop arrival rate per second (0 = closed loop)")
-		mixSpec  = flag.String("mix", catalog.DefaultMixSpec(), "weighted scenario mix over registered scenario names")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
-		out      = flag.String("out", "", "also write the report JSON to this path")
-		devices  = flag.Int("devices", 0, "selfhost: fleet size (0 = default)")
-		queue    = flag.Int("queue", 0, "selfhost: admission queue bound (0 = default)")
-		seed     = flag.Int64("seed", 42, "selfhost: daemon seed")
-		chaos    = flag.String("chaos", "", "selfhost: fault schedule (registered chaos name or JSON file path, empty = off)")
-		stateDir = flag.String("state-dir", "", "selfhost: durable state directory; arms the store-metrics consistency gate")
-		virtual  = flag.Bool("virtual", false, "run the admission stream on the virtual-time engine instead of a daemon")
-		fleets   = flag.Int("fleets", 1, "virtual: replica device fleets to interleave")
-		shards   = flag.Int("selfhost-shards", 0, "boot an in-process cluster (gateway + this many shard daemons) and drive load through the gateway")
-		paceAir  = flag.Float64("pace", 0, "selfhost: airtime pacing factor (hold each device for pace × protocol timeline; 0 = off)")
-		failover = flag.Duration("failover", 0, "selfhost: kill the primary this long into the run and promote a warm standby mid-load; arms the availability gate")
+		addr     = fs.String("addr", "http://localhost:8547", "daemon base URL")
+		selfhost = fs.Bool("selfhost", false, "boot an in-process daemon on a loopback port")
+		n        = fs.Int("n", 256, "total requests")
+		c        = fs.Int("c", 32, "concurrent client workers")
+		rate     = fs.Float64("rate", 0, "open-loop arrival rate per second (0 = closed loop)")
+		mixSpec  = fs.String("mix", catalog.DefaultMixSpec(), "weighted scenario mix over registered scenario names")
+		timeout  = fs.Duration("timeout", 60*time.Second, "per-request client timeout")
+		out      = fs.String("out", "", "also write the report JSON to this path")
+		devices  = fs.Int("devices", 0, "selfhost: fleet size (0 = default)")
+		queue    = fs.Int("queue", 0, "selfhost: admission queue bound (0 = default)")
+		seed     = fs.Int64("seed", 42, "selfhost: daemon seed")
+		chaos    = fs.String("chaos", "", "selfhost: fault schedule (registered chaos name or JSON file path, empty = off)")
+		stateDir = fs.String("state-dir", "", "selfhost: durable state directory; arms the store-metrics consistency gate")
+		virtual  = fs.Bool("virtual", false, "run the admission stream on the virtual-time engine instead of a daemon")
+		fleets   = fs.Int("fleets", 1, "virtual: replica device fleets to interleave")
+		shards   = fs.Int("selfhost-shards", 0, "boot an in-process cluster (gateway + this many shard daemons) and drive load through the gateway")
+		paceAir  = fs.Float64("pace", 0, "selfhost: airtime pacing factor (hold each device for pace × protocol timeline; 0 = off)")
+		failover = fs.Duration("failover", 0, "selfhost: kill the primary this long into the run and promote a warm standby mid-load; arms the availability gate")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	mix, scenarios, err := resolveMix(*mixSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		return 1
 	}
+	// Only a single selfhost daemon and the virtual engine apply a fault
+	// schedule; any other mode would drop -chaos silently.
+	sch, err := catalog.ResolveChaos(*chaos)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		return 1
+	}
+	if sch != nil && !*virtual && (!*selfhost || *shards > 0 || *failover > 0) {
+		fmt.Fprintln(os.Stderr, "loadgen: -chaos applies only to a single -selfhost daemon or -virtual; -selfhost-shards, -failover and -addr would drop it")
+		return 1
+	}
 	if *virtual {
-		return runVirtual(mix, scenarios, *n, *devices, *fleets, *seed, *mixSpec, *chaos, *out)
+		return runVirtual(mix, scenarios, *n, *devices, *fleets, *seed, *mixSpec, *chaos, sch, *out)
+	}
+	if *failover > 0 && *shards > 0 {
+		fmt.Fprintln(os.Stderr, "loadgen: -failover drives a single primary/standby pair; drop -selfhost-shards")
+		return 1
 	}
 
-	base := *addr
-	var rig *failoverRig
-	if *failover > 0 {
-		if *shards > 0 {
-			fmt.Fprintln(os.Stderr, "loadgen: -failover drives a single primary/standby pair; drop -selfhost-shards")
-			return 1
-		}
-		r, err := newFailoverRig(*devices, *queue, *seed, *stateDir, *paceAir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: failover rig: %v\n", err)
-			return 1
-		}
-		defer r.close()
-		rig = r
-		base = r.base
-		fmt.Printf("failover rig on %s (primary + warm standby; kill at +%s)\n", base, *failover)
-	} else if *shards > 0 {
-		b, cleanup, err := selfhostCluster(*shards, *devices, *queue, *seed, *stateDir, *paceAir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: selfhost cluster: %v\n", err)
-			return 1
-		}
-		defer cleanup()
-		base = b
-	} else if *selfhost {
-		cfg := service.DefaultConfig()
-		cfg.Seed = *seed
-		if *devices > 0 {
-			cfg.Devices = *devices
-		}
-		if *queue > 0 {
-			cfg.QueueDepth = *queue
-		}
-		sch, err := catalog.ResolveChaos(*chaos)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			return 1
-		}
-		cfg.Chaos = sch
-		cfg.StateDir = *stateDir
-		cfg.PaceAirtime = *paceAir
-		svc, err := service.New(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
-			return 1
-		}
-		if *stateDir != "" {
-			// Drive no load until recovery completes — the gate below
-			// accounts durable records against completed sessions, so the
-			// run must start from a ready store.
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			err := svc.WaitReady(ctx)
-			cancel()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: selfhost recovery: %v\n", err)
-				return 1
-			}
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
-			return 1
-		}
-		server := &http.Server{Handler: svc.Handler()}
-		go func() { _ = server.Serve(ln) }()
-		defer func() { _ = server.Close() }()
-		base = "http://" + ln.Addr().String()
-		fmt.Printf("selfhost daemon on %s (%d devices, queue %d)\n", base, cfg.Devices, cfg.QueueDepth)
+	cfg := service.DefaultConfig()
+	cfg.Seed = *seed
+	if *devices > 0 {
+		cfg.Devices = *devices
 	}
-	base = strings.TrimSuffix(base, "/")
+	if *queue > 0 {
+		cfg.QueueDepth = *queue
+	}
+	cfg.PaceAirtime = *paceAir
+	base := strings.TrimSuffix(*addr, "/")
+	var rg *rig.Rig
+	switch {
+	case *failover > 0:
+		dir := *stateDir
+		if dir == "" {
+			if dir, err = os.MkdirTemp("", "loadgen-failover-*"); err != nil {
+				break
+			}
+			defer os.RemoveAll(dir)
+		}
+		rg, err = bootFailover(cfg, dir)
+		if err == nil {
+			fmt.Printf("failover rig on %s (primary + warm standby; kill at +%s)\n", rg.URL, *failover)
+		}
+	case *shards > 0:
+		var cfgs []service.Config
+		for i := 0; i < *shards; i++ {
+			sc := cfg
+			sc.ShardID = fmt.Sprintf("s%d", i)
+			if *stateDir != "" {
+				sc.StateDir = filepath.Join(*stateDir, sc.ShardID)
+			}
+			cfgs = append(cfgs, sc)
+		}
+		rg, err = rig.Cluster(cfgs, cluster.GatewayConfig{})
+		if err == nil {
+			fmt.Printf("selfhost cluster on %s (%d shards, %d devices)\n", rg.URL, *shards, cfg.Devices)
+		}
+	case *selfhost:
+		cfg.Chaos = sch
+		// The rig drives no load until recovery completes: the store gate
+		// below accounts durable records against completed sessions.
+		cfg.StateDir = *stateDir
+		rg, err = rig.Single(cfg)
+		if err == nil {
+			fmt.Printf("selfhost daemon on %s (%d devices, queue %d)\n", rg.URL, cfg.Devices, cfg.QueueDepth)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
+		return 1
+	}
+	if rg != nil {
+		defer rg.Close()
+		base = rg.URL
+	}
+	isFailover := *failover > 0
+	var initial store.State
+	if isFailover {
+		// Pre-load snapshot: the pairing-key and counter floor every device
+		// must still satisfy after promotion.
+		initial, _ = rg.Daemons[0].StoreState()
+		rg.StartHeartbeats(3 * time.Millisecond)
+	}
 
 	client := &http.Client{Timeout: *timeout}
 
@@ -377,8 +385,9 @@ func run() int {
 		last503       time.Time
 	)
 	start := time.Now()
-	if rig != nil {
-		rig.armKill(*failover)
+	if isFailover {
+		kill := time.AfterFunc(*failover, rg.KillPrimary)
+		defer kill.Stop()
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < *c; w++ {
@@ -393,19 +402,19 @@ func run() int {
 				if pace != nil {
 					<-pace
 				}
-				scenario := mix.Pick(uint64(i))
-				view, code, err := doUnlock(client, base, scenario)
+				req := rig.Request{Scenario: mix.Pick(uint64(i))}
+				view, code, ra, err := rig.Unlock(client, base, req)
 				// 429 is queue backpressure; 503 with a Retry-After header is
 				// deferral (draining shard, fenced handoff range, gateway
 				// retry hint) — both carry a retry time, so neither is a
 				// dropped request.
 				for err == nil && (code == http.StatusTooManyRequests ||
-					(code == http.StatusServiceUnavailable && view.retryAfter != "")) {
+					(code == http.StatusServiceUnavailable && ra != "")) {
 					if code == http.StatusTooManyRequests {
 						rejected.Add(1)
 					} else {
 						deferred.Add(1)
-						if rig != nil {
+						if isFailover {
 							now := time.Now()
 							foMu.Lock()
 							if first503.IsZero() {
@@ -415,8 +424,8 @@ func run() int {
 							foMu.Unlock()
 						}
 					}
-					time.Sleep(retryAfter(view.retryAfter))
-					view, code, err = doUnlock(client, base, scenario)
+					time.Sleep(retryAfter(ra))
+					view, code, ra, err = rig.Unlock(client, base, req)
 				}
 				if err != nil || code != http.StatusOK {
 					httpErrs.Add(1)
@@ -433,7 +442,7 @@ func run() int {
 					delays.Add(view.UnlockDelayMS)
 				}
 				mu.Unlock()
-				if rig != nil && view.Unlocked {
+				if isFailover && view.Unlocked {
 					foMu.Lock()
 					ackedByDevice[view.Device]++
 					foMu.Unlock()
@@ -444,62 +453,41 @@ func run() int {
 	wg.Wait()
 	wall := time.Since(start)
 
-	// The metrics-consistency gate certifies a daemon whose counters
-	// cover the whole run; a scripted failover kills the primary and its
-	// counters with it, so the failover run certifies availability
-	// instead (below) and skips the scrape.
-	var daemonOutcomes map[string]int
-	detail, diff := "", ""
-	match := true
-	if rig == nil {
-		daemonOutcomes, detail, err = scrapeOutcomes(client, base)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: metrics scrape: %v\n", err)
-			return 1
-		}
-		match, diff = compareOutcomes(outcomes, daemonOutcomes)
-	} else {
-		detail = "metrics certification skipped: the scripted failover took the primary's counters with it. "
-	}
-
 	completed := 0
 	for _, v := range outcomes {
 		completed += v
 	}
 
-	// Durability gate: with a state dir, every completed session must
-	// have left at least one durable WAL record behind, a clean run must
-	// report zero corruptions, and the recovery gauge must be exposed.
+	// The metrics-consistency gate certifies a daemon whose counters
+	// cover the whole run; a scripted failover kills the primary and its
+	// counters with it, so the failover run certifies availability
+	// instead (below) and skips the scrape.
+	var daemonOutcomes map[string]int
 	var storeRep *storeReport
-	if *stateDir != "" && rig == nil {
-		rep, err := scrapeStoreMetrics(client, base)
+	detail, diff := "", ""
+	match := true
+	if !isFailover {
+		samples, err := rig.Scrape(client, base)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: store metrics scrape: %v\n", err)
+			fmt.Fprintf(os.Stderr, "loadgen: metrics scrape: %v\n", err)
 			return 1
 		}
-		var problems []string
-		if rep.FsyncDisabled {
-			// A no-fsync run can report every other number perfectly and
-			// still lose acknowledged sessions at the wall socket; the gate
-			// refuses to certify it rather than grading it.
-			problems = append(problems, "wearlockd_fsync_disabled=1: commits are not power-loss durable, refusing to certify")
-		}
-		if rep.Corruptions != 0 {
-			problems = append(problems, fmt.Sprintf("wearlockd_store_corruptions_total=%d, want 0", rep.Corruptions))
-		}
-		if rep.WALRecords < completed {
-			problems = append(problems, fmt.Sprintf("wearlockd_wal_records_total=%d < %d completed sessions", rep.WALRecords, completed))
-		}
-		if completed > 0 {
-			if rep.Commits == 0 {
-				problems = append(problems, "wearlockd_wal_batch_size_count=0: the group committer recorded no batches")
-			} else if rep.MeanBatchSize < 1 {
-				problems = append(problems, fmt.Sprintf("wearlockd_wal_batch_size mean=%.3f < 1: batches smaller than their own records", rep.MeanBatchSize))
+		daemonOutcomes = map[string]int{}
+		for _, s := range samples {
+			if outcome := s.Labels["outcome"]; s.Name == "wearlockd_sessions_total" && outcome != "" {
+				daemonOutcomes[outcome] += int(s.Value)
 			}
 		}
-		rep.Consistent = len(problems) == 0
-		rep.Detail = strings.Join(problems, "; ")
-		storeRep = &rep
+		detail = fmt.Sprintf("%d outcome counters scraped.", len(daemonOutcomes))
+		match, diff = compareOutcomes(outcomes, daemonOutcomes)
+		if *stateDir != "" {
+			if storeRep, err = storeMetrics(samples, completed); err != nil {
+				fmt.Fprintf(os.Stderr, "loadgen: store metrics scrape: %v\n", err)
+				return 1
+			}
+		}
+	} else {
+		detail = "metrics certification skipped: the scripted failover took the primary's counters with it. "
 	}
 
 	// Availability gate: the scripted failover must have promoted the
@@ -507,8 +495,8 @@ func run() int {
 	// 503 burst must be bounded, and every 200-acked unlock must be
 	// covered by the promoted follower's verifier counters.
 	var foRep *failoverReport
-	if rig != nil {
-		foRep = rig.evaluate(*failover, ackedByDevice, httpErrs.Load(), deferred.Load(), first503, last503)
+	if isFailover {
+		foRep = availability(rg, initial, *failover, ackedByDevice, httpErrs.Load(), deferred.Load(), first503, last503)
 	}
 	rec := record{
 		Date:           time.Now().UTC().Format("2006-01-02"),
@@ -577,59 +565,36 @@ func run() int {
 	return 0
 }
 
-// scrapeStoreMetrics pulls the durability gauges/counters out of the
-// Prometheus text exposition. wearlockd_recovery_seconds must be
-// present whenever the daemon runs with a state dir; its absence is a
-// scrape failure, not a zero.
-func scrapeStoreMetrics(client *http.Client, base string) (storeReport, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return storeReport{}, err
-	}
-	defer resp.Body.Close()
-	var rep storeReport
-	var batchSum, batchCount, commitCount float64
+// storeMetrics grades the durability slice of the scrape. A gateway's
+// aggregated exposition carries these series once per shard with a shard
+// label: counters (and histogram sums/counts) sum, the recovery gauge
+// reports the slowest shard, and the fsync-disabled gauge trips if any
+// shard runs unsafe. Every series must be present whenever the daemon
+// runs with a state dir; an absent one is a scrape failure, not a zero.
+func storeMetrics(samples []telemetry.Sample, completed int) (*storeReport, error) {
+	rep := &storeReport{}
+	var batchSum, batchCount float64
 	seen := map[string]bool{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		// A gateway's aggregated exposition carries these series once per
-		// shard with a shard label; counters (and histogram sums/counts)
-		// sum, the recovery gauge reports the slowest shard, and the
-		// fsync-disabled gauge trips if any shard runs unsafe.
-		name, _, valStr, ok := splitSample(sc.Text())
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			continue
-		}
-		switch name {
+	for _, s := range samples {
+		switch s.Name {
 		case "wearlockd_wal_records_total":
-			rep.WALRecords += int(v)
+			rep.WALRecords += int(s.Value)
 		case "wearlockd_store_corruptions_total":
-			rep.Corruptions += int(v)
+			rep.Corruptions += int(s.Value)
 		case "wearlockd_recovery_seconds":
-			if v > rep.RecoverySeconds {
-				rep.RecoverySeconds = v
-			}
+			rep.RecoverySeconds = max(rep.RecoverySeconds, s.Value)
 		case "wearlockd_fsync_disabled":
-			if v > 0 {
-				rep.FsyncDisabled = true
-			}
+			rep.FsyncDisabled = rep.FsyncDisabled || s.Value > 0
 		case "wearlockd_commit_seconds_count":
-			commitCount += v
+			// Presence-checked only; the latency distribution is informational.
 		case "wearlockd_wal_batch_size_sum":
-			batchSum += v
+			batchSum += s.Value
 		case "wearlockd_wal_batch_size_count":
-			batchCount += v
+			batchCount += s.Value
 		default:
 			continue
 		}
-		seen[name] = true
-	}
-	if err := sc.Err(); err != nil {
-		return storeReport{}, err
+		seen[s.Name] = true
 	}
 	for _, want := range []string{
 		"wearlockd_wal_records_total", "wearlockd_store_corruptions_total", "wearlockd_recovery_seconds",
@@ -637,46 +602,39 @@ func scrapeStoreMetrics(client *http.Client, base string) (storeReport, error) {
 		"wearlockd_wal_batch_size_count",
 	} {
 		if !seen[want] {
-			return storeReport{}, fmt.Errorf("%s missing from /metrics", want)
+			return nil, fmt.Errorf("%s missing from /metrics", want)
 		}
 	}
 	rep.Commits = int(batchCount)
 	if batchCount > 0 {
 		rep.MeanBatchSize = batchSum / batchCount
 	}
-	_ = commitCount // presence-checked above; the latency distribution itself is informational
-	return rep, nil
-}
 
-// unlockView is the slice of service.View loadgen needs, plus transport
-// detail.
-type unlockView struct {
-	State         string  `json:"state"`
-	Outcome       string  `json:"outcome"`
-	Device        int     `json:"device"`
-	Unlocked      bool    `json:"unlocked"`
-	WallMS        float64 `json:"wall_ms"`
-	UnlockDelayMS float64 `json:"unlock_delay_ms"`
-	retryAfter    string
-}
-
-func doUnlock(client *http.Client, base, scenario string) (unlockView, int, error) {
-	body, _ := json.Marshal(map[string]any{"scenario": scenario})
-	resp, err := client.Post(base+"/v1/unlock", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return unlockView{}, 0, err
+	// Every completed session must have left at least one durable WAL
+	// record behind, and a clean run must report zero corruptions.
+	var problems []string
+	if rep.FsyncDisabled {
+		// A no-fsync run can report every other number perfectly and
+		// still lose acknowledged sessions at the wall socket; the gate
+		// refuses to certify it rather than grading it.
+		problems = append(problems, "wearlockd_fsync_disabled=1: commits are not power-loss durable, refusing to certify")
 	}
-	defer resp.Body.Close()
-	var view unlockView
-	view.retryAfter = resp.Header.Get("Retry-After")
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			return unlockView{}, resp.StatusCode, err
+	if rep.Corruptions != 0 {
+		problems = append(problems, fmt.Sprintf("wearlockd_store_corruptions_total=%d, want 0", rep.Corruptions))
+	}
+	if rep.WALRecords < completed {
+		problems = append(problems, fmt.Sprintf("wearlockd_wal_records_total=%d < %d completed sessions", rep.WALRecords, completed))
+	}
+	if completed > 0 {
+		if rep.Commits == 0 {
+			problems = append(problems, "wearlockd_wal_batch_size_count=0: the group committer recorded no batches")
+		} else if rep.MeanBatchSize < 1 {
+			problems = append(problems, fmt.Sprintf("wearlockd_wal_batch_size mean=%.3f < 1: batches smaller than their own records", rep.MeanBatchSize))
 		}
-	} else {
-		_, _ = io.Copy(io.Discard, resp.Body)
 	}
-	return view, resp.StatusCode, nil
+	rep.Consistent = len(problems) == 0
+	rep.Detail = strings.Join(problems, "; ")
+	return rep, nil
 }
 
 func retryAfter(header string) time.Duration {
@@ -684,154 +642,6 @@ func retryAfter(header string) time.Duration {
 		return time.Duration(secs) * time.Second
 	}
 	return 100 * time.Millisecond
-}
-
-// scrapeOutcomes parses wearlockd_sessions_total outcome counters out of
-// the Prometheus text exposition, summing over any extra labels (a
-// gateway's aggregate splits each outcome by shard).
-func scrapeOutcomes(client *http.Client, base string) (map[string]int, string, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	counts := map[string]int{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		name, labels, valStr, ok := splitSample(line)
-		if !ok || name != "wearlockd_sessions_total" {
-			continue
-		}
-		outcome, ok := labelValue(labels, "outcome")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("bad counter line %q: %w", line, err)
-		}
-		counts[outcome] += int(v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, "", err
-	}
-	return counts, fmt.Sprintf("%d outcome counters scraped.", len(counts)), nil
-}
-
-// splitSample parses one exposition sample line, `name{labels} value` or
-// `name value`, tolerating a trailing timestamp.
-func splitSample(line string) (name, labels, value string, ok bool) {
-	if line == "" || strings.HasPrefix(line, "#") {
-		return "", "", "", false
-	}
-	rest := line
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		j := strings.LastIndexByte(line, '}')
-		if j < i {
-			return "", "", "", false
-		}
-		name, labels, rest = line[:i], line[i+1:j], line[j+1:]
-	} else if i := strings.IndexByte(line, ' '); i >= 0 {
-		name, rest = line[:i], line[i:]
-	} else {
-		return "", "", "", false
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return "", "", "", false
-	}
-	return name, labels, fields[0], true
-}
-
-// labelValue extracts one label's value out of a sample's label string.
-func labelValue(labels, key string) (string, bool) {
-	for _, part := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if ok && k == key {
-			return strings.Trim(v, `"`), true
-		}
-	}
-	return "", false
-}
-
-// selfhostCluster boots shard daemons plus a consistent-hash gateway
-// in-process and returns the gateway's base URL — the cluster equivalent
-// of -selfhost. With a -state-dir, each shard gets its own subdirectory.
-func selfhostCluster(n, devices, queue int, seed int64, stateDir string, pace float64) (string, func(), error) {
-	def := service.DefaultConfig()
-	if devices > 0 {
-		def.Devices = devices
-	}
-	if queue > 0 {
-		def.QueueDepth = queue
-	}
-	def.Seed = seed
-	def.PaceAirtime = pace
-
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
-	var shardCfgs []cluster.ShardConfig
-	for i := 0; i < n; i++ {
-		cfg := def
-		cfg.ShardID = fmt.Sprintf("s%d", i)
-		if stateDir != "" {
-			cfg.StateDir = stateDir + "/" + cfg.ShardID
-		}
-		svc, err := service.New(cfg)
-		if err != nil {
-			cleanup()
-			return "", nil, fmt.Errorf("shard %s: %w", cfg.ShardID, err)
-		}
-		if cfg.StateDir != "" {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			err := svc.WaitReady(ctx)
-			cancel()
-			if err != nil {
-				cleanup()
-				return "", nil, fmt.Errorf("shard %s recovery: %w", cfg.ShardID, err)
-			}
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			return "", nil, err
-		}
-		server := &http.Server{Handler: svc.Handler()}
-		go func() { _ = server.Serve(ln) }()
-		cleanups = append(cleanups, func() { _ = server.Close() })
-		shardCfgs = append(shardCfgs, cluster.ShardConfig{
-			Name:    cfg.ShardID,
-			BaseURL: "http://" + ln.Addr().String(),
-		})
-	}
-	gw, err := cluster.NewGateway(cluster.GatewayConfig{Shards: shardCfgs, TotalDevices: def.Devices})
-	if err != nil {
-		cleanup()
-		return "", nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = gw.Register(ctx)
-	cancel()
-	if err != nil {
-		cleanup()
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		cleanup()
-		return "", nil, err
-	}
-	server := &http.Server{Handler: gw.Handler()}
-	go func() { _ = server.Serve(ln) }()
-	cleanups = append(cleanups, func() { _ = server.Close() })
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("selfhost cluster on %s (%d shards, %d devices)\n", base, n, def.Devices)
-	return base, cleanup, nil
 }
 
 // compareOutcomes checks the daemon's counters cover exactly the
@@ -908,9 +718,8 @@ func printReport(rec record) {
 // failoverReport is the -failover availability gate's outcome: the
 // scripted mid-load failover must promote the warm standby, every
 // failed request must have been a retryable 503, the 503 burst must be
-// bounded, and every 200-acked unlock must be covered by the promoted
-// follower's verifier counters (no acked session lost, no replay
-// accepted).
+// bounded, and the shared oracle must find every 200-acked unlock
+// covered by the promoted follower's durable state.
 type failoverReport struct {
 	KillAfterS         float64 `json:"kill_after_seconds"`
 	Promoted           bool    `json:"promoted"`
@@ -918,202 +727,30 @@ type failoverReport struct {
 	BurstSpanMS        float64 `json:"burst_span_ms"`
 	AckedUnlocks       int     `json:"acked_unlocks"`
 	NonRetryableErrors int64   `json:"non_retryable_errors"`
-	KeyChanges         int     `json:"key_changes"`
-	CounterRegressions int     `json:"counter_regressions"`
-	LostOrReplayed     int     `json:"lost_or_replayed"`
-	Pass               bool    `json:"pass"`
-	Detail             string  `json:"detail,omitempty"`
+	rig.Verdict
+	Pass   bool   `json:"pass"`
+	Detail string `json:"detail,omitempty"`
 }
 
-// failoverRig is the -failover harness: a durable primary with an
-// attached warm standby of the same fleet behind a registered gateway,
-// heartbeats driven on a manual clock at wall speed so detection costs
-// real milliseconds. The load loop sees only the gateway URL; the rig
-// kills the primary on schedule and the gateway fences + promotes.
-type failoverRig struct {
-	base              string
-	primary, follower *service.Service
-	gw                *cluster.Gateway
-	clock             *vtime.ManualClock
-	primarySrv        *http.Server
-	initial           store.State
-	killT             *time.Timer
-	stopHB            chan struct{}
-	hbWG              sync.WaitGroup
-	cleanup           []func()
-}
-
-func newFailoverRig(devices, queue int, seed int64, stateDir string, pace float64) (*failoverRig, error) {
-	r := &failoverRig{stopHB: make(chan struct{})}
-	ok := false
-	defer func() {
-		if !ok {
-			r.close()
-		}
-	}()
-
-	if stateDir == "" {
-		dir, err := os.MkdirTemp("", "loadgen-failover-*")
-		if err != nil {
-			return nil, err
-		}
-		r.cleanup = append(r.cleanup, func() { _ = os.RemoveAll(dir) })
-		stateDir = dir
-	}
-	mkCfg := func(sub string, follow bool) service.Config {
-		cfg := service.DefaultConfig()
-		cfg.Seed = seed
-		if devices > 0 {
-			cfg.Devices = devices
-		}
-		if queue > 0 {
-			cfg.QueueDepth = queue
-		}
-		cfg.PaceAirtime = pace
-		cfg.ShardID = "s0"
-		cfg.StateDir = filepath.Join(stateDir, sub)
-		cfg.NoFsync = true // the failover run certifies availability, not power-loss durability
-		cfg.Follow = follow
-		return cfg
-	}
-	boot := func(cfg service.Config) (*service.Service, string, *http.Server, error) {
-		svc, err := service.New(cfg)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		r.cleanup = append(r.cleanup, func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = svc.Shutdown(ctx)
-			cancel()
-		})
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		err = svc.WaitReady(ctx)
-		cancel()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", nil, err
-		}
-		srv := &http.Server{Handler: svc.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		r.cleanup = append(r.cleanup, func() { _ = srv.Close() })
-		return svc, "http://" + ln.Addr().String(), srv, nil
-	}
-
-	var primaryURL, followerURL string
-	var err error
-	r.primary, primaryURL, r.primarySrv, err = boot(mkCfg("primary", false))
-	if err != nil {
-		return nil, fmt.Errorf("primary: %w", err)
-	}
-	var fsrv *http.Server
-	r.follower, followerURL, fsrv, err = boot(mkCfg("standby", true))
-	_ = fsrv
-	if err != nil {
-		return nil, fmt.Errorf("standby: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	err = r.follower.FollowPrimary(ctx, primaryURL, followerURL)
-	cancel()
-	if err != nil {
-		return nil, fmt.Errorf("FollowPrimary: %w", err)
-	}
-	deadline := time.Now().Add(time.Minute)
-	for !r.primary.ReplicaAttached() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("standby never attached: %+v", r.primary.ReplicaStatus())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	r.clock = vtime.NewManualClock(time.Unix(1_700_000_000, 0))
-	fleet := service.DefaultConfig().Devices
-	if devices > 0 {
-		fleet = devices
-	}
-	r.gw, err = cluster.NewGateway(cluster.GatewayConfig{
-		Shards:          []cluster.ShardConfig{{Name: "s0", BaseURL: primaryURL}},
-		TotalDevices:    fleet,
+// bootFailover boots the -failover pair from the daemon config: a
+// durable primary and an attached warm standby of the same fleet behind
+// a registered gateway with a 2-miss failover threshold. The run
+// certifies availability, not power-loss durability, so fsync is off.
+func bootFailover(cfg service.Config, stateDir string) (*rig.Rig, error) {
+	cfg.ShardID = "s0"
+	cfg.NoFsync = true
+	primary, standby := cfg, cfg
+	primary.StateDir = filepath.Join(stateDir, "primary")
+	standby.StateDir = filepath.Join(stateDir, "standby")
+	standby.Follow = true
+	return rig.Pair(primary, standby, cluster.GatewayConfig{
 		HeartbeatMisses: 2,
-		Standbys:        map[string]string{"s0": followerURL},
-		Clock:           r.clock,
 		Client:          &http.Client{Timeout: 10 * time.Second},
 	})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Second)
-	err = r.gw.Register(ctx)
-	cancel()
-	if err != nil {
-		return nil, fmt.Errorf("gateway register: %w", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	gsrv := &http.Server{Handler: r.gw.Handler()}
-	go func() { _ = gsrv.Serve(ln) }()
-	r.cleanup = append(r.cleanup, func() { _ = gsrv.Close() })
-	r.base = "http://" + ln.Addr().String()
-
-	// Pre-load snapshot: the pairing-key and counter floor every device
-	// must still satisfy after promotion.
-	if st, ok := r.primary.StoreState(); ok {
-		r.initial = st
-	}
-
-	r.hbWG.Add(1)
-	go func() {
-		defer r.hbWG.Done()
-		tick := time.NewTicker(3 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-r.stopHB:
-				return
-			case <-tick.C:
-				r.clock.Advance(time.Second)
-				hctx, hcancel := context.WithTimeout(context.Background(), 10*time.Second)
-				r.gw.HeartbeatOnce(hctx)
-				hcancel()
-			}
-		}
-	}()
-	ok = true
-	return r, nil
 }
 
-// armKill schedules the primary's death: its listener is torn down
-// first so in-flight responses die at the transport (clients see a
-// retryable gateway 503, never a half-written error), then the daemon
-// is killed without any graceful drain.
-func (r *failoverRig) armKill(after time.Duration) {
-	r.killT = time.AfterFunc(after, func() {
-		_ = r.primarySrv.Close()
-		r.primary.Kill()
-	})
-}
-
-func (r *failoverRig) close() {
-	if r.killT != nil {
-		r.killT.Stop()
-	}
-	select {
-	case <-r.stopHB:
-	default:
-		close(r.stopHB)
-	}
-	r.hbWG.Wait()
-	for i := len(r.cleanup) - 1; i >= 0; i-- {
-		r.cleanup[i]()
-	}
-}
-
-// evaluate grades the availability gate after the load loop drained.
-func (r *failoverRig) evaluate(killAfter time.Duration, acked map[int]int, nonRetryable, deferred int64, first503, last503 time.Time) *failoverReport {
+// availability grades the -failover gate after the load loop drained.
+func availability(rg *rig.Rig, initial store.State, killAfter time.Duration, acked map[int]int, nonRetryable, deferred int64, first503, last503 time.Time) *failoverReport {
 	rep := &failoverReport{
 		KillAfterS:         killAfter.Seconds(),
 		Deferred503:        deferred,
@@ -1126,9 +763,10 @@ func (r *failoverRig) evaluate(killAfter time.Duration, acked map[int]int, nonRe
 		rep.BurstSpanMS = float64(last503.Sub(first503)) / float64(time.Millisecond)
 	}
 	var problems []string
-	rep.Promoted = r.follower.ReplicaStatus().Role == "promoted"
+	role := rg.Standby.ReplicaStatus().Role
+	rep.Promoted = role == "promoted"
 	if !rep.Promoted {
-		problems = append(problems, fmt.Sprintf("standby role %q, want promoted (did the run outlast -failover?)", r.follower.ReplicaStatus().Role))
+		problems = append(problems, fmt.Sprintf("standby role %q, want promoted (did the run outlast -failover?)", role))
 	}
 	if nonRetryable > 0 {
 		problems = append(problems, fmt.Sprintf("%d non-retryable errors; every failure across the kill must be a retryable 503", nonRetryable))
@@ -1137,42 +775,11 @@ func (r *failoverRig) evaluate(killAfter time.Duration, acked map[int]int, nonRe
 	if !first503.IsZero() && last503.Sub(first503) > burstMax {
 		problems = append(problems, fmt.Sprintf("503 burst spanned %.0f ms, want <= %v", rep.BurstSpanMS, burstMax))
 	}
-	final, ok := r.follower.StoreState()
-	if !ok {
+	if final, ok := rg.Standby.StoreState(); !ok {
 		problems = append(problems, "promoted standby has no store state")
 	} else {
-		for id, b := range r.initial.Devices {
-			a, present := final.Devices[id]
-			if !present {
-				rep.LostOrReplayed++
-				continue
-			}
-			if !bytes.Equal(a.Key, b.Key) {
-				rep.KeyChanges++
-			}
-			if a.GenCounter < b.GenCounter || a.VerCounter < b.VerCounter {
-				rep.CounterRegressions++
-			}
-		}
-		// Client-observed survival: each acked unlock advanced the
-		// device's verifier exactly once, so the follower's counter delta
-		// must cover the acked count — fewer means an acked session was
-		// lost or a replayed token was double-counted.
-		for id, n := range acked {
-			delta := final.Devices[id].VerCounter - r.initial.Devices[id].VerCounter
-			if uint64(n) > delta {
-				rep.LostOrReplayed++
-			}
-		}
-		if rep.KeyChanges > 0 {
-			problems = append(problems, fmt.Sprintf("%d pairing keys changed across promotion", rep.KeyChanges))
-		}
-		if rep.CounterRegressions > 0 {
-			problems = append(problems, fmt.Sprintf("%d device counters regressed across promotion", rep.CounterRegressions))
-		}
-		if rep.LostOrReplayed > 0 {
-			problems = append(problems, fmt.Sprintf("%d devices acked more unlocks than their counters advanced (lost ack or accepted replay)", rep.LostOrReplayed))
-		}
+		rep.Verdict = rig.Oracle(initial, acked, final)
+		problems = append(problems, rep.Verdict.Problems()...)
 	}
 	if rep.AckedUnlocks == 0 {
 		problems = append(problems, "no acked unlocks observed — the gate exercised nothing")

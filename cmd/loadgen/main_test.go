@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -47,5 +50,45 @@ func TestResolveMixUnknownNameFailsFast(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q does not list registered scenario %q", msg, want)
 		}
+	}
+}
+
+// -chaos must resolve up front and is refused, before anything boots,
+// in every mode that would not apply it: a cluster, a failover pair and
+// an external daemon all ignore a fault schedule.
+func TestChaosRefusedWhereNotApplied(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-selfhost-shards", "1", "-n", "8", "-c", "2", "-devices", "8", "-chaos", "no-such-schedule"}, 1},
+		{[]string{"-selfhost-shards", "1", "-n", "8", "-c", "2", "-devices", "8", "-chaos", "builtin"}, 1},
+		{[]string{"-selfhost", "-failover", "1s", "-n", "8", "-chaos", "builtin"}, 1},
+		{[]string{"-addr", "http://127.0.0.1:1", "-n", "1", "-chaos", "builtin"}, 1},
+		{[]string{"-selfhost", "-n", "1", "-chaos", "no-such-schedule"}, 1},
+		{[]string{"-virtual", "-n", "4", "-chaos", "no-such-schedule"}, 1},
+		{[]string{"-virtual", "-n", "4", "-chaos", "builtin"}, 0},
+	} {
+		if got := run(tc.args); got != tc.want {
+			t.Errorf("loadgen %s exited %d, want %d", strings.Join(tc.args, " "), got, tc.want)
+		}
+	}
+}
+
+// A /metrics answering non-200 is a failed scrape, not an empty
+// exposition: against -addr loadgen must exit 1 rather than warn about a
+// mismatch and pass.
+func TestMetricsScrapeNon200Fails(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			http.Error(w, "scrape broken", http.StatusInternalServerError)
+			return
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = io.WriteString(w, `{"state":"done","outcome":"unlocked","unlocked":true}`)
+	}))
+	defer srv.Close()
+	if got := run([]string{"-addr", srv.URL, "-n", "4", "-c", "2"}); got != 1 {
+		t.Errorf("loadgen against a 500 /metrics exited %d, want 1", got)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"wearlock/internal/telemetry"
 )
 
 // Shard-metrics aggregation: the gateway scrapes every shard's
@@ -40,10 +42,7 @@ func InjectShardLabel(line, shard string) string {
 // with histogram suffixes stripped, so _bucket/_sum/_count samples group
 // with their family's HELP/TYPE.
 func familyOf(line string) string {
-	name := line
-	if i := strings.IndexAny(line, "{ "); i >= 0 {
-		name = line[:i]
-	}
+	name := telemetry.SampleName(line)
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		if strings.HasSuffix(name, suffix) {
 			return strings.TrimSuffix(name, suffix)

@@ -9,7 +9,8 @@
 // The dependency points the other way from the usual client library:
 // nothing here imports the protocol or simulation packages, and the
 // export format is the Prometheus text exposition format, so any scraper
-// (or a test doing string matching) can consume it.
+// (or a test doing string matching) can consume it; ParseSample is the
+// one reader of it the drills and the gateway share.
 package telemetry
 
 import (
@@ -342,6 +343,88 @@ func (h *Histogram) writeSamples(w io.Writer) {
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
 	fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(h.Sum()))
 	fmt.Fprintf(w, "%s_count %d\n", h.name, h.Count())
+}
+
+// --- Parsing ------------------------------------------------------------
+
+// Sample is one sample line of the text exposition format.
+type Sample struct {
+	Name   string
+	Labels map[string]string
+	Value  float64
+}
+
+// SampleName returns the metric name a sample line starts with: the
+// text before its label set or its first space.
+func SampleName(line string) string {
+	if i := strings.IndexAny(line, "{ "); i >= 0 {
+		return line[:i]
+	}
+	return line
+}
+
+// ParseSample parses `name[{k="v",...}] value [timestamp]`, the inverse
+// of every sample line WritePrometheus writes. Comments, blank lines and
+// malformed samples report ok=false.
+func ParseSample(line string) (s Sample, ok bool) {
+	if line == "" || line[0] == '#' {
+		return Sample{}, false
+	}
+	s.Name = SampleName(line)
+	rest := line[len(s.Name):]
+	if strings.HasPrefix(rest, "{") {
+		if s.Labels, rest, ok = parseLabels(rest[1:]); !ok {
+			return Sample{}, false
+		}
+	}
+	fields := strings.Fields(rest)
+	if s.Name == "" || len(fields) == 0 || len(fields) > 2 {
+		return Sample{}, false
+	}
+	v, err := strconv.ParseFloat(fields[0], 64)
+	if err != nil {
+		return Sample{}, false
+	}
+	s.Value = v
+	return s, true
+}
+
+// parseLabels reads `k="v",...}` (the text after a sample's opening
+// brace) and returns the labels and the text after the closing brace.
+// Values are unquoted with Go's rules, which cover both the %q quoting
+// WritePrometheus uses and the format's own \\, \" and \n escapes.
+func parseLabels(s string) (map[string]string, string, bool) {
+	labels := map[string]string{}
+	for {
+		if strings.HasPrefix(s, "}") {
+			return labels, s[1:], true
+		}
+		eq := strings.IndexByte(s, '=')
+		if eq <= 0 || eq+1 == len(s) || s[eq+1] != '"' {
+			return nil, "", false
+		}
+		end := eq + 2
+		for end < len(s) && s[end] != '"' {
+			if s[end] == '\\' {
+				end++
+			}
+			end++
+		}
+		if end >= len(s) {
+			return nil, "", false
+		}
+		v, err := strconv.Unquote(s[eq+1 : end+1])
+		if err != nil {
+			return nil, "", false
+		}
+		labels[s[:eq]] = v
+		s = s[end+1:]
+		if rest, cut := strings.CutPrefix(s, ","); cut {
+			s = rest
+		} else if !strings.HasPrefix(s, "}") {
+			return nil, "", false
+		}
+	}
 }
 
 func formatFloat(v float64) string {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -194,4 +195,93 @@ func TestInfoDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r.Info("dup_info", "x", nil)
+}
+
+// TestParseSampleRoundTrip checks that every sample line WritePrometheus
+// emits parses back to the name, labels and value that produced it:
+// labeled counters (with label values that need quoting), gauges, float
+// gauges, histogram _bucket{le=...}/_sum/_count and info metrics.
+func TestParseSampleRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("plain_total", "Plain.").Add(7)
+	vec := r.CounterVec("outcome_total", "By outcome.", "outcome")
+	tricky := []string{"unlocked", `quote"d`, `back\slash`, "comma,brace}", "new\nline", "ünï"}
+	for i, v := range tricky {
+		vec.With(v).Add(uint64(i + 1))
+	}
+	r.Gauge("depth", "Depth.").Set(-3)
+	r.FloatGauge("recovery_seconds", "Recovery.").Set(0.125)
+	h := r.Histogram("lat_seconds", "Latency.", []float64{0.001, 0.5, 10})
+	for _, v := range []float64{0.0005, 0.25, 0.25, 99} {
+		h.Observe(v)
+	}
+	r.Info("build_info", "Build.", map[string]string{"version": `v1 "x"`, "shard": "s0"})
+
+	type want struct {
+		name   string
+		labels map[string]string
+		value  float64
+	}
+	wants := []want{{"plain_total", nil, 7}}
+	sorted := append([]string(nil), tricky...)
+	sort.Strings(sorted)
+	for _, v := range sorted {
+		wants = append(wants, want{"outcome_total", map[string]string{"outcome": v}, float64(vec.Values()[v])})
+	}
+	wants = append(wants,
+		want{"depth", nil, -3},
+		want{"recovery_seconds", nil, 0.125},
+		want{"lat_seconds_bucket", map[string]string{"le": "0.001"}, 1},
+		want{"lat_seconds_bucket", map[string]string{"le": "0.5"}, 3},
+		want{"lat_seconds_bucket", map[string]string{"le": "10"}, 3},
+		want{"lat_seconds_bucket", map[string]string{"le": "+Inf"}, 4},
+		want{"lat_seconds_sum", nil, h.Sum()},
+		want{"lat_seconds_count", nil, 4},
+		want{"build_info", map[string]string{"shard": "s0", "version": `v1 "x"`}, 1},
+	)
+
+	var got []Sample
+	for _, line := range strings.Split(r.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, ok := ParseSample(line)
+		if !ok {
+			t.Errorf("emitted sample line %q does not parse", line)
+			continue
+		}
+		got = append(got, s)
+	}
+	if len(got) != len(wants) {
+		t.Fatalf("parsed %d samples, want %d:\n%s", len(got), len(wants), r.String())
+	}
+	for i, w := range wants {
+		g := got[i]
+		if g.Name != w.name || g.Value != w.value || len(g.Labels) != len(w.labels) {
+			t.Errorf("sample %d = %+v, want %+v", i, g, w)
+			continue
+		}
+		for k, v := range w.labels {
+			if g.Labels[k] != v {
+				t.Errorf("sample %d label %s = %q, want %q", i, k, g.Labels[k], v)
+			}
+		}
+	}
+}
+
+// TestParseSampleRejects pins what is not a sample, and that a trailing
+// timestamp is tolerated.
+func TestParseSampleRejects(t *testing.T) {
+	for _, line := range []string{
+		"", "# HELP x X.", "# TYPE x counter", "bare_name", "x{", `x{a="b" 1`,
+		`x{a=b} 1`, `x{a="b"c="d"} 1`, "x 1 2 3", "x one", `{a="b"} 1`,
+	} {
+		if s, ok := ParseSample(line); ok {
+			t.Errorf("ParseSample(%q) = %+v, want rejection", line, s)
+		}
+	}
+	s, ok := ParseSample(`x_total{a="1",b="2",} 42 1700000000000`)
+	if !ok || s.Name != "x_total" || s.Value != 42 || s.Labels["a"] != "1" || s.Labels["b"] != "2" {
+		t.Errorf("timestamped sample parsed as %+v, %v", s, ok)
+	}
 }
