@@ -4,16 +4,17 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-scenarios build test race bench test-chaos test-store test-vtime test-cluster test-replica fuzz-smoke bench-sim bench-service bench-chaos bench-dsp bench-store bench-vtime bench-cluster bench-failover
+.PHONY: ci vet lint lint-scenarios build test test-portable race bench test-chaos test-store test-vtime test-cluster test-replica fuzz-smoke bench-sim bench-service bench-chaos bench-dsp bench-store bench-vtime bench-cluster bench-failover
 
-ci: vet lint lint-scenarios build race bench test-chaos test-store test-vtime test-cluster test-replica bench-dsp bench-service bench-store bench-vtime bench-cluster bench-failover
+ci: vet lint lint-scenarios build race test-portable bench test-chaos test-store test-vtime test-cluster test-replica bench-dsp bench-service bench-store bench-vtime bench-cluster bench-failover
 
-# The second vet builds dsp for a platform without the SSE2 FIR kernel,
-# so the portable Go kernel keeps compiling; on amd64, vet's asmdecl
-# check covers fir_amd64.s.
+# The second and third vets build dsp without its amd64 kernels (for
+# arm64, and for amd64 under the purego tag), so the portable Go kernels
+# keep compiling; on amd64, vet's asmdecl check covers the .s files.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/dsp
+	$(GO) vet -tags purego ./internal/dsp
 
 # staticcheck when the host has it; vet-only hosts still pass `make ci`.
 lint:
@@ -40,6 +41,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The pure-Go DSP kernels, which every non-amd64 host runs, under the
+# purego tag: the dsp kernel tests and every golden built on them (core
+# chaos golden, scenariolint fingerprint streams, vtime equivalence) must
+# pass unchanged without the SSE2 and AVX kernels.
+test-portable:
+	$(GO) test -count=1 -tags purego ./internal/dsp ./internal/modem ./internal/core ./internal/scenariolint ./internal/vtime
 
 # One short iteration of every paper-figure benchmark plus the DSP and
 # sim microbenchmarks — a smoke test that the bench harness still runs,
@@ -125,13 +133,14 @@ bench-sim:
 	$(GO) run ./cmd/benchsim -out BENCH_sim.json
 
 # Drive an in-process wearlockd with the load generator and record the
-# throughput/latency/consistency report. Exits non-zero if the daemon's
+# throughput/latency/consistency report, at GOMAXPROCS=1 because
+# bench-vtime gates against it at GOMAXPROCS=1. Exits non-zero if the daemon's
 # /metrics outcome counters disagree with client-observed outcomes. The
 # second run repeats a shorter burst with the builtin chaos schedule
 # armed, so CI exercises the retry/degradation paths end to end (its
 # consistency gate applies there too; no artifact is written).
 bench-service:
-	$(GO) run ./cmd/loadgen -selfhost -n 512 -c 64 -out BENCH_service.json
+	GOMAXPROCS=1 $(GO) run ./cmd/loadgen -selfhost -n 512 -c 64 -out BENCH_service.json
 	$(GO) run ./cmd/loadgen -selfhost -n 128 -c 16 -chaos builtin
 
 # Regenerate BENCH_store.json: cold-start WAL replay timings at
@@ -150,7 +159,8 @@ bench-store:
 
 # Regenerate BENCH_vtime.json and enforce the virtual-time throughput
 # gate: the discrete-event engine must clear 100x the recorded
-# BENCH_service.json sessions/sec at GOMAXPROCS=1, and every replica
+# BENCH_service.json sessions/sec at GOMAXPROCS=1 (a baseline recorded at
+# any other GOMAXPROCS fails the gate), and every replica
 # session must be bit-identical to the serial reference (divergence is
 # fatal regardless of throughput).
 bench-vtime:

@@ -23,7 +23,9 @@
 //
 // -check additionally enforces the ≥ -min-speedup (default 100x)
 // multiple over the recorded wearlockd baseline in -baseline
-// (BENCH_service.json, sessions_per_sec).
+// (BENCH_service.json, sessions_per_sec). The baseline must have been
+// measured at this engine's GOMAXPROCS (1), or the gate fails: a daemon
+// measured on more cores is not the same regime.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"sort"
 	"time"
 
+	"wearlock/internal/benchenv"
 	"wearlock/internal/core"
 	"wearlock/internal/scenario/catalog"
 	"wearlock/internal/service"
@@ -42,8 +45,7 @@ import (
 )
 
 type report struct {
-	Date        string         `json:"date"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
+	benchenv.Header
 	Requests    int            `json:"requests"`
 	Devices     int            `json:"devices"`
 	Fleets      int            `json:"fleets"`
@@ -167,10 +169,9 @@ func run() int {
 		outcomes[r.Outcome.String()]++
 	}
 
-	base, baseErr := readBaseline(*baseline)
+	base, baseErr := readBaseline(*baseline, runtime.GOMAXPROCS(0))
 	rep := report{
-		Date:        time.Now().UTC().Format("2006-01-02"),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Header:      benchenv.Capture(),
 		Requests:    *requests,
 		Devices:     *devices,
 		Fleets:      *fleets,
@@ -230,7 +231,7 @@ func run() int {
 	}
 	if *check && !rep.GatePass {
 		if baseErr != nil {
-			fmt.Fprintf(os.Stderr, "benchvtime: FAIL gate needs a readable baseline: %v\n", baseErr)
+			fmt.Fprintf(os.Stderr, "benchvtime: FAIL gate needs a usable baseline: %v\n", baseErr)
 		} else {
 			fmt.Fprintf(os.Stderr, "benchvtime: FAIL %.1fx < required %.0fx over baseline %.2f sessions/s\n", rep.Speedup, *minSpeedup, base)
 		}
@@ -239,20 +240,26 @@ func run() int {
 	return 0
 }
 
-// readBaseline pulls sessions_per_sec out of a loadgen artifact.
-func readBaseline(path string) (float64, error) {
+// readBaseline pulls sessions_per_sec out of a loadgen artifact, which
+// must have been measured at gomaxprocs.
+func readBaseline(path string, gomaxprocs int) (float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
 	var v struct {
 		Throughput float64 `json:"sessions_per_sec"`
+		GOMAXPROCS int     `json:"gomaxprocs"`
 	}
 	if err := json.Unmarshal(data, &v); err != nil {
 		return 0, fmt.Errorf("%s: %w", path, err)
 	}
 	if v.Throughput <= 0 {
 		return 0, fmt.Errorf("%s: sessions_per_sec %v not positive", path, v.Throughput)
+	}
+	if v.GOMAXPROCS != gomaxprocs {
+		return 0, fmt.Errorf("%s: measured at gomaxprocs %d, this engine runs at %d; regenerate it with GOMAXPROCS=%d",
+			path, v.GOMAXPROCS, gomaxprocs, gomaxprocs)
 	}
 	return v.Throughput, nil
 }

@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wearlock/internal/benchenv"
 	"wearlock/internal/cluster"
 	"wearlock/internal/core"
 	"wearlock/internal/fault"
@@ -70,8 +70,7 @@ type latencySummary struct {
 }
 
 type record struct {
-	Date           string          `json:"date"`
-	GOMAXPROCS     int             `json:"gomaxprocs"`
+	benchenv.Header
 	Requests       int             `json:"requests"`
 	Concurrency    int             `json:"concurrency"`
 	RatePerSec     float64         `json:"rate_per_sec"` // 0 = closed loop
@@ -100,8 +99,7 @@ type record struct {
 // the virtual protocol timeline, bit-identical to what a serial daemon
 // run would charge (see internal/vtime's equivalence suite).
 type virtualRecord struct {
-	Date        string         `json:"date"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
+	benchenv.Header
 	Virtual     bool           `json:"virtual"`
 	Requests    int            `json:"requests"`
 	Fleets      int            `json:"fleets"`
@@ -156,8 +154,7 @@ func runVirtual(mix *service.Mix, scenarios map[string]core.Scenario, n, devices
 		delays.Add(float64(r.Timeline.Total().Nanoseconds()) / 1e6)
 	}
 	rec := virtualRecord{
-		Date:        time.Now().UTC().Format("2006-01-02"),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Header:      benchenv.Capture(),
 		Virtual:     true,
 		Requests:    n,
 		Fleets:      fleets,
@@ -499,8 +496,7 @@ func run(args []string) int {
 		foRep = availability(rg, initial, *failover, ackedByDevice, httpErrs.Load(), deferred.Load(), first503, last503)
 	}
 	rec := record{
-		Date:           time.Now().UTC().Format("2006-01-02"),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
+		Header:         benchenv.Capture(),
 		Requests:       *n,
 		Concurrency:    *c,
 		RatePerSec:     *rate,

@@ -427,3 +427,24 @@ func TestMicLowPassConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestSincosMatchesSinCos guards applyPhaseRipple's single math.Sincos
+// call per bin: it must give the bits math.Sin and math.Cos gave before,
+// special cases included, or every ripple-rendered golden would move.
+func TestSincosMatchesSinCos(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	phases := []float64{0, math.Copysign(0, -1), math.Pi / 4, -math.Pi / 2, 1e-310, -1e-310,
+		1e9, -1e9, 1 << 29, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for range 100000 {
+		phases = append(phases, 0.3*rng.NormFloat64(), 10*rng.NormFloat64())
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	}
+	for _, x := range phases {
+		sin, cos := math.Sincos(x)
+		if !same(sin, math.Sin(x)) || !same(cos, math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin/Cos = (%v, %v)", x, sin, cos, math.Sin(x), math.Cos(x))
+		}
+	}
+}

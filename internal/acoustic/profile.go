@@ -239,7 +239,8 @@ func applyPhaseRipple(buf *audio.Buffer, rmsRad, correlationHz float64, rng *ran
 		g := k / gridStep
 		t := float64(k%gridStep) / float64(gridStep)
 		phase := grid[g]*(1-t) + grid[g+1]*t
-		rot := complex(math.Cos(phase), math.Sin(phase))
+		sin, cos := math.Sincos(phase)
+		rot := complex(cos, sin)
 		spec[k] *= rot
 		spec[size-k] *= complex(real(rot), -imag(rot)) // Hermitian partner
 	}
@@ -264,7 +265,8 @@ func applyClockJitter(buf *audio.Buffer, sigma float64, rng *rand.Rand) {
 	if n < 2 {
 		return
 	}
-	src := make([]float64, n)
+	src := dsp.GetFloatScratch(n)
+	defer dsp.PutFloatScratch(src)
 	copy(src, buf.Samples)
 	rate := float64(buf.Rate)
 	maxDelay := 4 * sigma

@@ -73,7 +73,7 @@ func BenchCases() ([]BenchCase, error) {
 	firIn := benchCaseSignal(22050)
 	firDst := make([]float64, len(firIn))
 
-	return []BenchCase{
+	cases := []BenchCase{
 		{
 			Name:                "dsp/fft-real-256",
 			RequireZeroAllocNew: true,
@@ -165,7 +165,58 @@ func BenchCases() ([]BenchCase, error) {
 				return fir.ApplyInto(firDst, firIn)
 			},
 		},
-	}, nil
+	}
+
+	// The vector kernels against the kernels they replace, on CPUs that
+	// run them.
+	if fusedPassVec != nil {
+		cases = append(cases, BenchCase{
+			Name: "dsp/fft-16k-vec",
+			// 1.60-1.84x over six benchdsp runs on a 2-vCPU amd64 VM; the
+			// floor leaves room for host noise.
+			MinSpeedup:          1.3,
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				p16k.permute(buf16k, src16k)
+				p16k.butterfliesVia(nil, buf16k, 2, false)
+				p16k.permute(buf16k, buf16k)
+				p16k.butterfliesVia(nil, buf16k, 2, true)
+				for i := range buf16k {
+					buf16k[i] *= scale16k
+				}
+				return nil
+			},
+			New: func() error {
+				if err := p16k.Forward(buf16k, src16k); err != nil {
+					return err
+				}
+				return p16k.Inverse(buf16k, buf16k)
+			},
+		})
+	}
+	if firBlocks16 != nil && firBlocks8 != nil {
+		// Both kernels over the same interior outputs, a whole number of
+		// blocks of sixteen.
+		nt := len(fir.taps)
+		n := (len(firIn) - nt + 1) &^ 15
+		out, x := firDst[:n], firIn[:n+nt-1]
+		cases = append(cases, BenchCase{
+			Name: "dsp/fir-129-vec",
+			// 2.21-2.76x over six benchdsp runs on a 2-vCPU amd64 VM; the
+			// floor leaves room for host noise.
+			MinSpeedup:          1.7,
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				firBlocks8(out, x, fir.taps)
+				return nil
+			},
+			New: func() error {
+				firBlocks16(out, x, fir.taps)
+				return nil
+			},
+		})
+	}
+	return cases, nil
 }
 
 // firDirectForm is the original one-output-at-a-time FIR loop, with a

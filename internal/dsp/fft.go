@@ -159,14 +159,32 @@ func (p *Plan) butterflies(data []complex128, inverse bool) {
 // (for finite inputs, bit-for-bit up to the sign of exact zeros). The
 // inverse transform conjugates each twiddle by multiplying its imaginary
 // part by sign = -1, which is exact.
+//
+// The fused passes with h >= 4 run on fusedPassVec when it is set.
 func (p *Plan) butterfliesFrom(data []complex128, fromSize int, inverse bool) {
+	p.butterfliesVia(fusedPassVec, data, fromSize, inverse)
+}
+
+// fusedPassVec, when set, runs fusedPass for h >= 4 with the same
+// butterflies on the same operands, so every output bit is the same.
+// fft_amd64.go sets it to the AVX pass when the CPU has AVX; elsewhere
+// it stays nil and fusedPass runs every pass.
+var fusedPassVec func(data, tw []complex128, h int, sign float64)
+
+// butterfliesVia is butterfliesFrom with the fused passes for h >= 4
+// run by vec, or by fusedPass when vec is nil.
+func (p *Plan) butterfliesVia(vec func(data, tw []complex128, h int, sign float64), data []complex128, fromSize int, inverse bool) {
 	sign := 1.0
 	if inverse {
 		sign = -1
 	}
 	h := fromSize >> 1
 	for ; 4*h <= p.n; h <<= 2 {
-		fusedPass(data, p.stages[h-1:4*h-1], h, sign)
+		if h >= 4 && vec != nil {
+			vec(data, p.stages[h-1:4*h-1], h, sign)
+		} else {
+			fusedPass(data, p.stages[h-1:4*h-1], h, sign)
+		}
 	}
 	if 2*h <= p.n {
 		radix2Pass(data, p.stages[h-1:2*h-1], h, sign)

@@ -117,10 +117,28 @@ func specialValue(rng *rand.Rand) float64 {
 	}
 }
 
+// forEachFusedPass runs f once on every fused-pass path this build can
+// dispatch to: the vector pass when one is installed ("vec"), and the Go
+// fusedPass forced ("go").
+func forEachFusedPass(t *testing.T, f func(t *testing.T)) {
+	vec := fusedPassVec
+	defer func() { fusedPassVec = vec }()
+	if vec != nil {
+		t.Run("vec", f)
+	}
+	fusedPassVec = nil
+	t.Run("go", f)
+}
+
 // TestFFTKernelBitIdenticalToStageLoop covers every size from 2 to 2^16:
 // odd and even stage counts, so both the fused pass and the trailing
-// radix-2 pass, entered at size 2 (Plan) and at size 8 (RealPlan).
+// radix-2 pass, entered at size 2 (Plan) and at size 8 (RealPlan), on
+// every fused-pass path.
 func TestFFTKernelBitIdenticalToStageLoop(t *testing.T) {
+	forEachFusedPass(t, checkFFTKernelSizes)
+}
+
+func checkFFTKernelSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for n := 1; n <= 1<<16; n <<= 1 {
 		signedZero := func() float64 { return math.Copysign(0, float64(rng.Intn(2))-0.5) }
@@ -157,9 +175,10 @@ func TestFFTKernelBitIdenticalToStageLoop(t *testing.T) {
 	}
 }
 
-// FuzzFFTKernel checks the fused kernel against the frozen stage-by-stage
-// loop on arbitrary inputs. The first byte picks the size 2^(b%13); the
-// rest is read as little-endian float64 pairs, zero-padded.
+// FuzzFFTKernel checks the fused kernel, on the dispatched path and with
+// the Go fusedPass forced, against the frozen stage-by-stage loop on
+// arbitrary inputs. The first byte picks the size 2^(b%13); the rest is
+// read as little-endian float64 pairs, zero-padded.
 func FuzzFFTKernel(f *testing.F) {
 	seed := func(log2n byte, vals ...float64) []byte {
 		b := []byte{log2n}
@@ -188,6 +207,10 @@ func FuzzFFTKernel(f *testing.F) {
 				math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
 			b = b[16:]
 		}
+		checkFFTKernel(t, src)
+		vec := fusedPassVec
+		defer func() { fusedPassVec = vec }()
+		fusedPassVec = nil
 		checkFFTKernel(t, src)
 	})
 }

@@ -60,35 +60,45 @@ func (f *FIRFilter) ApplyCausal(x []float64) []float64 {
 	return out
 }
 
-// firBlocks8, when set, computes every whole block of eight outputs of
-// out[i] = sum over j ascending of taps[j]*x[i+len(taps)-1-j], with the
-// same per-output arithmetic as firInterior4. fir_amd64.go sets it to the
-// SSE2 kernel; elsewhere it stays nil and the Go kernel does all interior
-// outputs.
-var firBlocks8 func(out, x, taps []float64)
+// firBlocks8 and firBlocks16, when set, compute every whole block of
+// eight (sixteen) outputs of out[i] = sum over j ascending of
+// taps[j]*x[i+len(taps)-1-j], with the same per-output arithmetic as
+// firInterior4. fir_amd64.go sets firBlocks8 to the SSE2 kernel, and
+// firBlocks16 to the AVX kernel when the CPU has AVX; elsewhere they stay
+// nil and the Go kernel does all interior outputs.
+var firBlocks8, firBlocks16 func(out, x, taps []float64)
 
 // firInto writes out[i] = sum over j of taps[j]*x[i+delay-j], skipping
 // terms whose input index falls outside x. Every output has its own
 // accumulator and adds its terms with j ascending, exactly as the
 // one-output-at-a-time direct form does, so each output is bit-identical
 // to it (up to NaN payloads; see DESIGN.md §10.5). Interior outputs, whose
-// terms are all in range, go eight at a time through firBlocks8 and the
-// rest four at a time through firInterior4; no interior term is
-// range-tested. The edges and the last few interior outputs keep the
-// checked loop.
+// terms are all in range, go sixteen at a time through firBlocks16, then
+// eight at a time through firBlocks8, and the rest four at a time through
+// firInterior4; no interior term is range-tested. The edges and the last
+// few interior outputs keep the checked loop.
 func firInto(out, x, taps []float64, delay int) {
 	// Output i is interior when i+delay-(len(taps)-1) >= 0 and
 	// i+delay < len(x); out and x have the same length.
 	lo := min(max(len(taps)-1-delay, 0), len(out))
 	hi := max(len(out)-delay, lo)
 	firEdge(out, x, taps, delay, 0, lo)
-	i := lo
-	if n8 := (hi - lo) &^ 7; n8 > 0 && firBlocks8 != nil {
-		firBlocks8(out[lo:lo+n8], x[lo+delay-(len(taps)-1):lo+n8+delay], taps)
-		i += n8
-	}
+	i := firBlocks(firBlocks16, 16, out, x, taps, delay, lo, hi)
+	i = firBlocks(firBlocks8, 8, out, x, taps, delay, i, hi)
 	i = firInterior4(out, x, taps, delay, i, hi)
 	firEdge(out, x, taps, delay, i, len(out))
+}
+
+// firBlocks hands the interior outputs [from, to) to kernel in whole
+// blocks of block outputs and returns the first output it left. A nil
+// kernel leaves them all.
+func firBlocks(kernel func(out, x, taps []float64), block int, out, x, taps []float64, delay, from, to int) int {
+	n := (to - from) / block * block
+	if n == 0 || kernel == nil {
+		return from
+	}
+	kernel(out[from:from+n], x[from+delay-(len(taps)-1):from+n+delay], taps)
+	return from + n
 }
 
 // firInterior4 computes the interior outputs [from, to) four at a time:

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func firInterior8(out, x, taps []float64)
@@ -61,4 +63,60 @@ tap:
 	JNZ    block
 
 done:
+	RET
+
+// func firInterior16AVX(out, x, taps []float64)
+//
+// firInterior8 for every whole block of sixteen outputs: four YMM
+// accumulators, one output per 64-bit lane, each started at +0. Per tap,
+// j ascending, VBROADCASTSD spreads the tap over a register and every
+// lane performs sum += tap*x with the same IEEE multiply and add as the
+// scalar loop. Requires AVX and len(x) >= len(out)&^15 + nt - 1.
+TEXT ·firInterior16AVX(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ taps_base+48(FP), DX
+	MOVQ taps_len+56(FP), BX
+	SHRQ $4, CX
+	JZ   done
+	TESTQ BX, BX
+	JZ   done
+	LEAQ -8(SI)(BX*8), SI // &x[nt-1]: tap 0 of output 0
+
+block:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R8  // x for the current tap, lane 0
+	MOVQ   DX, R9  // current tap
+	MOVQ   BX, R10 // taps left
+
+tap:
+	VBROADCASTSD (R9), Y4
+	VMULPD       0(R8), Y4, Y5
+	VMULPD       32(R8), Y4, Y6
+	VMULPD       64(R8), Y4, Y7
+	VMULPD       96(R8), Y4, Y8
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R9
+	SUBQ         $8, R8
+	DECQ         R10
+	JNZ          tap
+
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	DECQ    CX
+	JNZ     block
+
+done:
+	VZEROUPPER
 	RET
